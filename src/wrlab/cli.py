@@ -154,7 +154,7 @@ def _cmd_ranksim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_from_config(path: str) -> tuple[list[engine.Scenario], int | None]:
+def _grid_from_config(path: str) -> tuple[list[engine.Scenario], int]:
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -170,7 +170,8 @@ def _grid_from_config(path: str) -> tuple[list[engine.Scenario], int | None]:
         if name not in presets:
             raise DatasetFormatError(f"{path}: unknown preset {name!r}")
         preset = presets[name]
-        return list(preset.scenarios), iterations or preset.default_iterations
+        return list(preset.scenarios), (preset.default_iterations if iterations is None
+                                        else iterations)
     dgm = payload.get("dgm")
     alpha = float(payload.get("alpha", 0.05))
     if dgm == "binary-continuous":
@@ -188,7 +189,7 @@ def _grid_from_config(path: str) -> tuple[list[engine.Scenario], int | None]:
         scenarios = [engine.iphak_scenario(alpha=alpha)]
     else:
         raise DatasetFormatError(f"{path}: unknown dgm {dgm!r}")
-    return scenarios, iterations
+    return scenarios, 2500 if iterations is None else iterations
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -200,11 +201,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise InvalidInputError(f"unknown preset {args.preset!r}; "
                                     f"choose from {sorted(presets)}")
         preset = presets[args.preset]
-        scenarios = list(preset.scenarios)
-        iterations = args.iterations or preset.default_iterations
+        scenarios, iterations = list(preset.scenarios), preset.default_iterations
     else:
-        scenarios, config_iterations = _grid_from_config(args.config)
-        iterations = args.iterations or config_iterations or 2500
+        scenarios, iterations = _grid_from_config(args.config)
+    if args.iterations is not None:
+        iterations = args.iterations
     results = engine.run_grid(scenarios, iterations, args.seed, threads=args.threads)
     text = engine.results_to_json(results) if args.format == "json" \
         else engine.results_to_csv(results)

@@ -155,47 +155,29 @@ def _validate_tte(value: LevelValue, spec: OutcomeSpec) -> tuple[float, bool]:
     return t, bool(value[1])
 
 
+_VERDICTS = {1: Verdict.WIN, -1: Verdict.LOSS, 0: Verdict.TIE}
+
+
 def compare_at_level(a: LevelValue, b: LevelValue, spec: OutcomeSpec) -> Verdict:
     """Compare treatment value `a` against control value `b` at one level."""
-    m = spec.margin
-    if spec.kind is OutcomeKind.TIME_TO_EVENT:
-        t_a, ev_a = _validate_tte(a, spec)
-        t_b, ev_b = _validate_tte(b, spec)
-        if spec.direction is Direction.HIGHER:  # later / absent event favorable
-            if ev_b and t_a > t_b + m:
-                return Verdict.WIN
-            if ev_a and t_b > t_a + m:
-                return Verdict.LOSS
-        else:  # earlier event favorable
-            if ev_a and t_b > t_a + m:
-                return Verdict.WIN
-            if ev_b and t_a > t_b + m:
-                return Verdict.LOSS
-        return Verdict.TIE
-
-    va = _validate_scalar(a, spec)
-    vb = _validate_scalar(b, spec)
-    diff = va - vb if spec.direction is Direction.HIGHER else vb - va
-    if diff > m:
-        return Verdict.WIN
-    if diff < -m:
-        return Verdict.LOSS
-    return Verdict.TIE
+    validate = _validate_tte if spec.kind is OutcomeKind.TIME_TO_EVENT else _validate_scalar
+    win, loss = _win_loss_masks(spec, validate(a, spec), validate(b, spec))
+    return _VERDICTS[int(win) - int(loss)]
 
 
 def compare_pair(a: PatientRecord, b: PatientRecord, h: Hierarchy) -> ComparisonResult:
     """Hierarchical comparison: verdict of the first non-tied level."""
-    if len(a.values) != len(h) or len(b.values) != len(h):
-        raise InvalidInputError("compare_pair: record length must equal hierarchy length")
-    for k, spec in enumerate(h.levels):
-        verdict = compare_at_level(a.values[k], b.values[k], spec)
-        if verdict is not Verdict.TIE:
-            return ComparisonResult(verdict, k)
-    return ComparisonResult(Verdict.TIE, None)
+    verdict, level = _cascade(h, arm_columns([a], h), arm_columns([b], h), (1,))
+    k = int(level[0])
+    return ComparisonResult(_VERDICTS[int(verdict[0])], None if k < 0 else k)
 
 
 def arm_columns(records: Sequence[PatientRecord], h: Hierarchy) -> list[LevelColumn]:
     """Validate records of one arm and convert to per-level column arrays."""
+    for r in records:
+        if len(r.values) != len(h):
+            raise InvalidInputError(f"patient {r.id!r}: {len(r.values)} values for "
+                                    f"{len(h)}-level hierarchy")
     cols: list[LevelColumn] = []
     for k, spec in enumerate(h.levels):
         if spec.kind is OutcomeKind.TIME_TO_EVENT:
@@ -214,9 +196,6 @@ def split_dataset(dataset: Iterable[PatientRecord], h: Hierarchy
     """Split mixed-arm records into treatment and control column sets."""
     treat, ctrl = [], []
     for r in dataset:
-        if len(r.values) != len(h):
-            raise InvalidInputError(f"patient {r.id!r}: {len(r.values)} values for "
-                                    f"{len(h)}-level hierarchy")
         (treat if r.arm is Arm.TREATMENT else ctrl).append(r)
     if not treat or not ctrl:
         raise InvalidInputError("dataset must contain at least one patient per arm")
@@ -248,21 +227,19 @@ def _broadcast_level(col: LevelColumn, axis: int):
     return shape(col)
 
 
-def pairwise_verdicts(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
-                      h: Hierarchy) -> tuple[np.ndarray, np.ndarray]:
-    """Verdict and deciding-level matrices over all treatment x control pairs.
+def _cascade(h: Hierarchy, t_levels: Iterable, c_levels: Iterable,
+             shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Verdict and deciding level of each pair: the first level that is not a tie.
 
-    Returns (verdict, level): verdict is int8 with +1 win / -1 loss / 0 tie,
-    level is the 0-based deciding level, -1 for overall ties.
+    `t_levels` and `c_levels` yield one value array per level, shaped to
+    broadcast to `shape`; they are consumed lazily, so levels after the last
+    undecided pair are never compared.
     """
-    n_t = (t_cols[0][0] if isinstance(t_cols[0], tuple) else t_cols[0]).shape[0]
-    n_c = (c_cols[0][0] if isinstance(c_cols[0], tuple) else c_cols[0]).shape[0]
-    verdict = np.zeros((n_t, n_c), dtype=np.int8)
-    level = np.full((n_t, n_c), -1, dtype=np.int16)
-    undecided = np.ones((n_t, n_c), dtype=bool)
-    for k, spec in enumerate(h.levels):
-        win, loss = _win_loss_masks(spec, _broadcast_level(t_cols[k], 0),
-                                    _broadcast_level(c_cols[k], 1))
+    verdict = np.zeros(shape, dtype=np.int8)
+    level = np.full(shape, -1, dtype=np.int16)
+    undecided = np.ones(shape, dtype=bool)
+    for k, (spec, a_vals, b_vals) in enumerate(zip(h.levels, t_levels, c_levels)):
+        win, loss = _win_loss_masks(spec, a_vals, b_vals)
         new_win = undecided & win
         new_loss = undecided & loss
         verdict[new_win] = 1
@@ -272,6 +249,19 @@ def pairwise_verdicts(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColum
         if not undecided.any():
             break
     return verdict, level
+
+
+def pairwise_verdicts(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
+                      h: Hierarchy) -> tuple[np.ndarray, np.ndarray]:
+    """Verdict and deciding-level matrices over all treatment x control pairs.
+
+    Returns (verdict, level): verdict is int8 with +1 win / -1 loss / 0 tie,
+    level is the 0-based deciding level, -1 for overall ties.
+    """
+    n_t = (t_cols[0][0] if isinstance(t_cols[0], tuple) else t_cols[0]).shape[0]
+    n_c = (c_cols[0][0] if isinstance(c_cols[0], tuple) else c_cols[0]).shape[0]
+    return _cascade(h, (_broadcast_level(col, 0) for col in t_cols),
+                    (_broadcast_level(col, 1) for col in c_cols), (n_t, n_c))
 
 
 def winstats_from_verdicts(verdict: np.ndarray, level: np.ndarray, pairing: str,
@@ -307,17 +297,7 @@ def tally_matched(pairs: Sequence[tuple[PatientRecord, PatientRecord]],
     t_cols = arm_columns([p[0] for p in pairs], h)
     c_cols = arm_columns([p[1] for p in pairs], h)
     n = len(pairs)
-    verdict = np.zeros(n, dtype=np.int8)
-    level = np.full(n, -1, dtype=np.int16)
-    undecided = np.ones(n, dtype=bool)
-    for k, spec in enumerate(h.levels):
-        win, loss = _win_loss_masks(spec, t_cols[k], c_cols[k])
-        new_win = undecided & win
-        new_loss = undecided & loss
-        verdict[new_win] = 1
-        verdict[new_loss] = -1
-        level[new_win | new_loss] = k
-        undecided &= ~(win | loss)
+    verdict, level = _cascade(h, t_cols, c_cols, (n,))
     return winstats_from_verdicts(verdict, level, "matched", n, n, len(h))
 
 

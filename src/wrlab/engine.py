@@ -13,7 +13,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -21,11 +21,14 @@ from . import datagen
 from .core import (Arm, Direction, Hierarchy, LevelColumn, OutcomeKind,
                    OutcomeSpec, WinStats, tally_columns, win_ratio)
 from .datagen import IphakPlan, TtePlan, WeibullParams, substream
-from .errors import InvalidInputError
+from .errors import InvalidInputError, WrlabError
 from .inference import (bootstrap_columns, infer_phi, score_test_columns,
                         wald_test_log_wr, yu_wald_test)
 from .stattests import (SurvivalSample, TwoByTwoTable, chi_square_test,
                         fisher_exact, log_rank_test, t_test)
+
+if TYPE_CHECKING:
+    from .ranksim import RankDgm
 
 # Default WR inference is the permutation-variance score test (calibrated at
 # small arm sizes); the approximate-variance Wald, bootstrap, and count-based
@@ -167,7 +170,7 @@ class IphakDgm:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    dgm: BinaryContinuousDgm | TteCompositeDgm | IphakDgm
+    dgm: BinaryContinuousDgm | TteCompositeDgm | IphakDgm | RankDgm
     methods: tuple[str, ...]
     alpha: float = 0.05
     bootstrap_replicates: int = DEFAULT_BOOTSTRAP_REPLICATES
@@ -233,7 +236,8 @@ def run_scenario(scenario: Scenario, n_iterations: int, master_seed: int,
                  cell: int = 0) -> list[PowerResult]:
     """Estimate power of every requested method over n_iterations datasets.
 
-    Per-iteration failures are counted per method and never abort the run.
+    Per-iteration analysis failures (any `WrlabError`) are counted per method
+    and never abort the run; any other exception propagates.
     """
     if n_iterations < 1:
         raise InvalidInputError(f"n_iterations must be >= 1, got {n_iterations}")
@@ -268,7 +272,7 @@ def run_scenario(scenario: Scenario, n_iterations: int, master_seed: int,
                 else:
                     p = _comparator_pvalue(method, data)
                     rejections[method] += p <= scenario.alpha
-            except Exception:
+            except WrlabError:
                 failures[method] += 1
 
     total_decided = int(decided_counts.sum())

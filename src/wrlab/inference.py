@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -114,11 +114,9 @@ def infer_phi(s: WinStats, alpha: float = 0.05, ci_method: str = "wilson") -> In
         z=z, p_value=p_value, alpha=alpha, method=method, flags=flags)
 
 
-def wald_test_log_wr(s: WinStats, wr0: float = 1.0, alpha: float = 0.05) -> InferenceResult:
-    """Wald test of WR = wr0 on the log scale with the count-based variance.
-
-    Default inference for matched tallies (independent pairs).
-    """
+def _log_wald(s: WinStats, wr0: float, alpha: float,
+              var_log: Callable[[WinStats], float], method: str) -> InferenceResult:
+    """Wald test of WR = wr0 on the log scale, with the caller's Var(log WR)."""
     _check_alpha(alpha)
     if wr0 <= 0.0:
         raise InvalidInputError(f"wr0 must be > 0, got {wr0}")
@@ -126,13 +124,27 @@ def wald_test_log_wr(s: WinStats, wr0: float = 1.0, alpha: float = 0.05) -> Infe
         raise DegenerateCountsError(
             "zero wins or losses: log-WR Wald inference is undefined; use bootstrap_wr")
     wr = win_ratio(s)
-    se_log = math.sqrt(var_log_wr(s))
-    z = (math.log(wr) - math.log(wr0)) / se_log
-    z_crit = norm_ppf(1.0 - alpha / 2.0)
-    ci = (math.exp(math.log(wr) - z_crit * se_log), math.exp(math.log(wr) + z_crit * se_log))
-    return InferenceResult(estimate=wr, log_estimate=math.log(wr), se_log=se_log,
-                           ci=ci, z=z, p_value=min(1.0, 2.0 * norm_sf(abs(z))),
-                           alpha=alpha, method="wald-log")
+    log_wr = math.log(wr)
+    se_log = math.sqrt(var_log(s))
+    z = (log_wr - math.log(wr0)) / se_log
+    half = norm_ppf(1.0 - alpha / 2.0) * se_log
+    return InferenceResult(estimate=wr, log_estimate=log_wr, se_log=se_log,
+                           ci=(math.exp(log_wr - half), math.exp(log_wr + half)),
+                           z=z, p_value=min(1.0, 2.0 * norm_sf(abs(z))),
+                           alpha=alpha, method=method)
+
+
+def wald_test_log_wr(s: WinStats, wr0: float = 1.0, alpha: float = 0.05) -> InferenceResult:
+    """Wald test of WR = wr0 on the log scale with the count-based variance.
+
+    Default inference for matched tallies (independent pairs).
+    """
+    return _log_wald(s, wr0, alpha, var_log_wr, "wald-log")
+
+
+def _yu_var_log(s: WinStats) -> float:
+    n_total = s.n_treatment + s.n_control
+    return design.yu_sigma_sq(s.n_treatment / n_total, s.n_tie / s.n_pairs) / n_total
 
 
 def yu_wald_test(s: WinStats, wr0: float = 1.0, alpha: float = 0.05) -> InferenceResult:
@@ -142,23 +154,9 @@ def yu_wald_test(s: WinStats, wr0: float = 1.0, alpha: float = 0.05) -> Inferenc
     sigma^2 = 4(1 + p_tie) / (3 p_t (1 - p_t)(1 - p_tie)), with
     Var(log WR) = sigma^2 / N_total. Default inference for unmatched tallies.
     """
-    _check_alpha(alpha)
     if s.pairing != "unmatched":
         raise InvalidInputError("yu_wald_test applies to unmatched tallies")
-    if s.n_win == 0 or s.n_loss == 0:
-        raise DegenerateCountsError(
-            "zero wins or losses: log-WR Wald inference is undefined; use bootstrap_wr")
-    n_total = s.n_treatment + s.n_control
-    p_t = s.n_treatment / n_total
-    p_tie = s.n_tie / s.n_pairs
-    se_log = math.sqrt(design.yu_sigma_sq(p_t, p_tie) / n_total)
-    wr = win_ratio(s)
-    z = (math.log(wr) - math.log(wr0)) / se_log
-    z_crit = norm_ppf(1.0 - alpha / 2.0)
-    ci = (math.exp(math.log(wr) - z_crit * se_log), math.exp(math.log(wr) + z_crit * se_log))
-    return InferenceResult(estimate=wr, log_estimate=math.log(wr), se_log=se_log,
-                           ci=ci, z=z, p_value=min(1.0, 2.0 * norm_sf(abs(z))),
-                           alpha=alpha, method="yu-approx")
+    return _log_wald(s, wr0, alpha, _yu_var_log, "yu-approx")
 
 
 def _percentile_p(replicates: np.ndarray, null_value: float) -> float:

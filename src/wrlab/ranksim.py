@@ -3,10 +3,10 @@
 Instead of modeling outcome distributions, each iteration assigns the
 patients ranks directly: the number of treatment patients landing in the
 top (better) half of the rank distribution is drawn from a Fisher
-noncentral hypergeometric distribution whose odds parameter is solved so
-that its mean matches the requested per-level win proportion. The win ratio
-is then computed from the ranks and tested with a two-sided percentile
-bootstrap CI.
+noncentral hypergeometric distribution whose odds parameter is solved, once
+per level, so that its mean matches the requested per-level win proportion.
+`engine.run_scenario` runs this rank assignment as a data-generating model
+and tests the win ratio with its two-sided percentile bootstrap CI.
 
 Supports one or two hierarchy levels; level-one ties are induced by
 collapsing a random fraction of adjacent rank pairs to equal values.
@@ -15,15 +15,13 @@ collapsing a random fraction of adjacent rank pairs to equal values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import Direction, Hierarchy, OutcomeKind, OutcomeSpec
-from .datagen import substream
-from .engine import PowerResult, mcse
-from .errors import AllTiesError, InfeasibleParameterError, InvalidInputError
-from .inference import bootstrap_columns
+from .engine import GeneratedData, PowerResult, Scenario, run_scenario
+from .errors import InfeasibleParameterError, InvalidInputError
 from .kernels import ln_choose
 
 
@@ -117,13 +115,12 @@ def _sample_top_count(log_omega: float, top: int, bottom: int, n_draw: int,
     return int(rng.choice(ks, p=probs))
 
 
-def _assign_ranks(phi_win: float, n_t: int, n_c: int, tie_prob: float,
+def _assign_ranks(log_omega: float, n_t: int, n_c: int, tie_prob: float,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One level of rank values for (treatment, control); smaller rank = better."""
     n_total = n_t + n_c
     top = _top_half(n_total)
     bottom = n_total - top
-    log_omega = math.log(solve_omega(phi_win, n_t, n_c))
     x = _sample_top_count(log_omega, top, bottom, n_t, rng)
     ranks_top = rng.choice(top, size=x, replace=False) + 1
     ranks_bottom = rng.choice(bottom, size=n_t - x, replace=False) + top + 1
@@ -146,39 +143,49 @@ def rank_hierarchy(n_levels: int) -> Hierarchy:
                            for k in range(n_levels)))
 
 
+@dataclass(frozen=True)
+class RankDgm:
+    """Rank assignment as a data-generating model for `engine.run_scenario`.
+
+    Each level's odds are solved once, on construction. Both arms' ranks are
+    drawn jointly from the treatment-arm substream.
+    """
+
+    SUPPORTED_COMPARATORS = frozenset()
+
+    cfg: RankSimConfig
+    log_omegas: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "log_omegas", tuple(
+            math.log(solve_omega(phi, self.cfg.n_t, self.cfg.n_c))
+            for phi in self.cfg.phi_win_per_level))
+
+    def hierarchy(self) -> Hierarchy:
+        return rank_hierarchy(len(self.log_omegas))
+
+    def generate(self, rng_t: np.random.Generator, rng_c: np.random.Generator) -> GeneratedData:
+        cfg = self.cfg
+        levels = [_assign_ranks(log_omega, cfg.n_t, cfg.n_c,
+                                cfg.tie_prob_level1 if k == 0 else 0.0, rng_t)
+                  for k, log_omega in enumerate(self.log_omegas)]
+        return GeneratedData(t_cols=[t for t, _ in levels], c_cols=[c for _, c in levels])
+
+
 def simulate_rank_trial(cfg: RankSimConfig, rng: np.random.Generator
                         ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Rank columns for one simulated trial: ([t per level], [c per level])."""
-    t_cols, c_cols = [], []
-    for k, phi in enumerate(cfg.phi_win_per_level):
-        tie = cfg.tie_prob_level1 if k == 0 else 0.0
-        t_ranks, c_ranks = _assign_ranks(phi, cfg.n_t, cfg.n_c, tie, rng)
-        t_cols.append(t_ranks)
-        c_cols.append(c_ranks)
-    return t_cols, c_cols
+    data = RankDgm(cfg).generate(rng, rng)
+    return data.t_cols, data.c_cols
 
 
 def ranksim_power(cfg: RankSimConfig) -> PowerResult:
     """Rejection rate of the bootstrap-CI win-ratio test over simulated ranks."""
-    h = rank_hierarchy(len(cfg.phi_win_per_level))
-    rejections = 0
-    n_degenerate = 0
-    for i in range(cfg.n_iterations):
-        rng = substream(cfg.seed, i)
-        t_cols, c_cols = simulate_rank_trial(cfg, rng)
-        try:
-            result = bootstrap_columns(t_cols, c_cols, h, cfg.n_bootstrap, cfg.alpha, rng)
-        except AllTiesError:
-            n_degenerate += 1
-            continue
-        if result.flags or not math.isfinite(result.estimate):
-            n_degenerate += 1
-        if result.ci[0] > 1.0 or result.ci[1] < 1.0:
-            rejections += 1
-    power = rejections / cfg.n_iterations
-    return PowerResult(scenario="ranksim", method="ranksim-bootstrap", power=power,
-                       mcse=mcse(power, cfg.n_iterations), n_iterations=cfg.n_iterations,
-                       n_degenerate=n_degenerate,
-                       factors={"n_t": cfg.n_t, "n_c": cfg.n_c,
-                                "phi_win": list(cfg.phi_win_per_level),
-                                "tie_prob_level1": cfg.tie_prob_level1})
+    scenario = Scenario(
+        name="ranksim", dgm=RankDgm(cfg),
+        methods=("wr-unmatched:bootstrap",), alpha=cfg.alpha,
+        bootstrap_replicates=cfg.n_bootstrap,
+        factors={"n_t": cfg.n_t, "n_c": cfg.n_c, "phi_win": list(cfg.phi_win_per_level),
+                 "tie_prob_level1": cfg.tie_prob_level1})
+    [result] = run_scenario(scenario, cfg.n_iterations, cfg.seed)
+    return replace(result, method="ranksim-bootstrap")

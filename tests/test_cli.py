@@ -154,6 +154,14 @@ class TestSimulateCommand:
     def test_unknown_preset_exit_2(self, capsys):
         assert main(["simulate", "--preset", "nope"]) == 2
 
+    def test_zero_iterations_exit_2(self, tmp_path, capsys):
+        # An explicit 0 is an error, not a request for the default count.
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--preset", "iphak", "--iterations", "0",
+                     "--out", str(out)]) == 2
+        assert "n_iterations must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_schema_exit_2(self, tmp_path, capsys):
         config = tmp_path / "grid.json"
         config.write_text(json.dumps({"schema": "other"}))

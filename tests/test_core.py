@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from wrlab.core import (Arm, Direction, Hierarchy, OutcomeKind, OutcomeSpec,
                         WinStats)
 from wrlab.errors import AllTiesError, InvalidInputError
 
-from naive_oracle import naive_tally
+from naive_oracle import compare_hierarchically, naive_tally
 from random_datasets import random_dataset, to_oracle_form
 
 TTE_UP = OutcomeSpec("death", OutcomeKind.TIME_TO_EVENT, Direction.HIGHER)
@@ -134,6 +135,16 @@ class TestTallies:
         with pytest.raises(InvalidInputError):
             tally_matched([], self.H1)
 
+    def test_record_length_must_match_hierarchy(self):
+        good = record("c", Arm.CONTROL, 4.0)
+        for bad in (record("t", Arm.TREATMENT), record("t", Arm.TREATMENT, 1.0, 2.0)):
+            with pytest.raises(InvalidInputError, match="1-level hierarchy"):
+                tally_matched([(bad, good)], self.H1)
+            with pytest.raises(InvalidInputError, match="1-level hierarchy"):
+                compare_pair(bad, good, self.H1)
+            with pytest.raises(InvalidInputError, match="1-level hierarchy"):
+                tally_unmatched([bad, good], self.H1)
+
 
 class TestRatios:
     def stats(self, w, l, t):
@@ -165,6 +176,21 @@ class TestInvariantsOnRandomData:
             ref = naive_tally(t_pat, c_pat, levels)
             assert (s.n_win, s.n_loss, s.n_tie) == (ref["wins"], ref["losses"], ref["ties"])
             assert dict(s.decided_at_level) == ref["by_level"]
+            # compare_pair and tally_matched share the tally's cascade; check
+            # each pair's verdict and deciding level against the oracle too.
+            t_rec = [r for r in records if r.arm is Arm.TREATMENT]
+            c_rec = [r for r in records if r.arm is Arm.CONTROL]
+            for t, tp in zip(t_rec, t_pat):
+                for c, cp in zip(c_rec, c_pat):
+                    verdict, level = compare_hierarchically(tp, cp, levels)
+                    result = compare_pair(t, c, h)
+                    assert (result.verdict.value, result.deciding_level) == (verdict, level)
+            m = tally_matched(list(zip(t_rec, c_rec)), h)
+            pair_ref = [compare_hierarchically(tp, cp, levels) for tp, cp in zip(t_pat, c_pat)]
+            assert (m.n_win, m.n_loss, m.n_tie) == tuple(
+                sum(v == want for v, _ in pair_ref) for want in ("win", "loss", "tie"))
+            assert dict(m.decided_at_level) == dict(Counter(k for _, k in pair_ref
+                                                            if k is not None))
 
     def test_antisymmetry_under_arm_swap(self):
         rng = np.random.default_rng(77)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from wrlab import engine
 from wrlab.datagen import IphakPlan
 from wrlab.engine import (BinaryContinuousDgm, IphakDgm, Scenario,
                           TteCompositeDgm, binary_continuous_grid,
@@ -111,6 +112,17 @@ class TestRunScenario:
         sc = Scenario("tiny", dgm, ("log-rank-ttfe",))
         results = run_scenario(sc, 30, 5)
         assert results[0].n_failures > 0
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # Only WrlabError counts as an analysis failure; anything else is a
+        # bug and must not be hidden as a non-rejection.
+        def broken(x, y):
+            raise RuntimeError("comparator bug")
+        monkeypatch.setattr(engine, "t_test", broken)
+        sc = Scenario("s", BinaryContinuousDgm(p_treatment=0.5, delta=0.5),
+                      ("wr-unmatched", "t-test"))
+        with pytest.raises(RuntimeError, match="comparator bug"):
+            run_scenario(sc, 5, 1)
 
 
 class TestRunGrid:

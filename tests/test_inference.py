@@ -6,7 +6,7 @@ import pytest
 from wrlab.core import (Arm, Direction, Hierarchy, OutcomeKind, OutcomeSpec,
                         PatientRecord, WinStats, tally_columns)
 from wrlab.datagen import substream
-from wrlab.errors import AllTiesError, DegenerateCountsError
+from wrlab.errors import AllTiesError, DegenerateCountsError, InvalidInputError
 from wrlab.inference import (bootstrap_columns, bootstrap_wr, infer_phi,
                              phi_win, score_test, score_test_columns,
                              var_log_wr, var_phi, var_wr_delta,
@@ -101,9 +101,15 @@ class TestYuWaldTest:
         assert r.method == "yu-approx"
 
     def test_requires_unmatched(self):
-        from wrlab.errors import InvalidInputError
         with pytest.raises(InvalidInputError):
             yu_wald_test(stats(5, 5, 0, pairing="matched"))
+
+
+@pytest.mark.parametrize("test", [wald_test_log_wr, yu_wald_test])
+@pytest.mark.parametrize("wr0", [0.0, -1.0])
+def test_wald_tests_reject_nonpositive_wr0(test, wr0):
+    with pytest.raises(InvalidInputError, match="wr0"):
+        test(stats(30, 20, 5), wr0=wr0)
 
 
 class TestBootstrap:

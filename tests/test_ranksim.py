@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wrlab import ranksim
 from wrlab.core import tally_columns, win_ratio
 from wrlab.datagen import substream
 from wrlab.errors import InfeasibleParameterError, InvalidInputError
@@ -96,6 +97,21 @@ class TestRanksimPower:
         assert r1.method == "ranksim-bootstrap"
         assert 0.0 <= r1.power <= 1.0
         assert abs(r1.mcse - math.sqrt(r1.power * (1 - r1.power) / 50)) < 1e-12
+        # The shared Monte Carlo loop fills the WR summary fields.
+        assert r1.mean_wr > 1.0 and r1.decided_at_level == (1.0,)
+        assert r1.n_failures == 0
+
+    def test_odds_solved_once_per_level(self, monkeypatch):
+        calls = []
+
+        def counting(phi, n_t, n_c):
+            calls.append(phi)
+            return solve_omega(phi, n_t, n_c)
+        monkeypatch.setattr(ranksim, "solve_omega", counting)
+        cfg = RankSimConfig(n_t=20, n_c=20, phi_win_per_level=(0.6, 0.55),
+                            n_bootstrap=50, n_iterations=6, seed=4)
+        ranksim_power(cfg)
+        assert calls == [0.6, 0.55]
 
     def test_power_increases_with_arm_size(self):
         powers = []
