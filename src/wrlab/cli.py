@@ -18,10 +18,10 @@ import sys
 from pathlib import Path
 
 from . import design, engine, io, ranksim
-from .core import tally_unmatched, win_odds, win_ratio
+from .core import compare_arms, split_dataset, win_odds, win_ratio
 from .datagen import exponential_scale_from_dropout, weibull_scale_from_survival
 from .errors import DatasetFormatError, InvalidInputError, WrlabError
-from .inference import (bootstrap_wr, infer_phi, phi_win, score_test,
+from .inference import (bootstrap_verdicts, infer_phi, phi_win, score_test_verdicts,
                         wald_test_log_wr, yu_wald_test)
 
 DEFAULT_SEED = 123456789
@@ -61,13 +61,12 @@ def _parse_floats(raw: str) -> list[float]:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     hierarchy = io.read_hierarchy(args.hierarchy)
-    records = io.read_dataset(args.data, hierarchy)
-    stats = tally_unmatched(records, hierarchy)
-    lines = []
-    lines.append(f"patients: T={stats.n_treatment} C={stats.n_control}")
-    lines.append(f"pairs (unmatched): {stats.n_pairs}")
-    lines.append(f"wins: {stats.n_win}  losses: {stats.n_loss}  ties: {stats.n_tie}")
-    lines.append("decided at level:")
+    t_cols, c_cols = split_dataset(io.read_dataset(args.data, hierarchy), hierarchy)
+    verdict, stats = compare_arms(t_cols, c_cols, hierarchy)
+    lines = [f"patients: T={stats.n_treatment} C={stats.n_control}",
+             f"pairs (unmatched): {stats.n_pairs}",
+             f"wins: {stats.n_win}  losses: {stats.n_loss}  ties: {stats.n_tie}",
+             "decided at level:"]
     informative = max(stats.n_informative, 1)
     for k, spec in enumerate(hierarchy.levels):
         count = stats.decided_at_level.get(k, 0)
@@ -85,13 +84,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except WrlabError as exc:
         lines.append(f"  (log-scale Wald inference unavailable: {exc})")
     if args.bootstrap:
-        results.append(bootstrap_wr(records, hierarchy, b=args.bootstrap,
-                                    alpha=args.alpha, seed=args.seed))
+        results.append(bootstrap_verdicts(verdict, stats, args.bootstrap, args.alpha,
+                                          args.seed))
     for r in results:
         lines.append(f"  {r.method:<24} {_fmt(r.estimate):>10} {_fmt(r.ci[0]):>10} "
                      f"{_fmt(r.ci[1]):>10} {_fmt(r.z):>10} {_fmt(r.p_value):>10}")
     try:
-        score = score_test(records, hierarchy)
+        score = score_test_verdicts(verdict, t_cols, c_cols, hierarchy)
         lines.append(f"score test: z={_fmt(score.statistic)} p={_fmt(score.p_value)}")
     except WrlabError as exc:
         lines.append(f"score test unavailable: {exc}")
@@ -164,6 +163,9 @@ def _grid_from_config(path: str) -> tuple[list[engine.Scenario], int]:
         raise DatasetFormatError(f"{path}: expected schema 'wrlab/grid-v1', "
                                  f"got {payload.get('schema')!r}")
     iterations = payload.get("iterations")
+    if iterations is not None and (type(iterations) is not int or iterations < 1):
+        raise DatasetFormatError(f"{path}: 'iterations' must be an integer >= 1, "
+                                 f"got {iterations!r}")
     if "preset" in payload:
         presets = engine.study_presets()
         name = payload["preset"]
@@ -319,28 +321,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags each (command, method) needs that argparse cannot require on its own.
+_REQUIRED_FLAGS = {
+    ("power", "yu"): ("wr", "n_total"),
+    ("power", "mao"): ("wr", "n_total", "xi0_sq", "w0"),
+    ("samplesize", "yu"): ("wr",),
+    ("samplesize", "mao"): ("wr", "xi0_sq", "w0"),
+    ("samplesize", "precision"): ("width",),
+    ("calibrate", "weibull"): ("survival", "shape"),
+    ("calibrate", "exponential"): ("dropout",),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "power" and args.method == "mao":
-            if args.xi0_sq is None or args.w0 is None or args.wr is None or args.n_total is None:
-                raise InvalidInputError("power mao needs --wr, --n-total, --xi0-sq and --w0")
-        if args.command == "power" and args.method == "yu" and not args.n_grid:
-            if args.wr is None or args.n_total is None:
-                raise InvalidInputError("power yu needs --wr and --n-total")
-        if args.command == "samplesize":
-            if args.method == "precision" and args.width is None:
-                raise InvalidInputError("samplesize precision needs --width")
-            if args.method in ("yu", "mao") and args.wr is None:
-                raise InvalidInputError(f"samplesize {args.method} needs --wr")
-            if args.method == "mao" and (args.xi0_sq is None or args.w0 is None):
-                raise InvalidInputError("samplesize mao needs --xi0-sq and --w0")
-        if args.command == "calibrate":
-            if args.distribution == "weibull" and (args.survival is None or args.shape is None):
-                raise InvalidInputError("calibrate weibull needs --survival and --shape")
-            if args.distribution == "exponential" and args.dropout is None:
-                raise InvalidInputError("calibrate exponential needs --dropout")
+        mode = getattr(args, "method", None) or getattr(args, "distribution", None)
+        missing = [flag for flag in _REQUIRED_FLAGS.get((args.command, mode), ())
+                   if getattr(args, flag) is None]
+        # `power yu` with --n-grid prints the tie-sensitivity table instead.
+        if missing and not ((args.command, mode) == ("power", "yu") and args.n_grid):
+            raise InvalidInputError(f"{args.command} {mode} needs "
+                                    + ", ".join("--" + f.replace("_", "-") for f in missing))
         return args.func(args)
     except (InvalidInputError, DatasetFormatError) as exc:
         sys.stderr.write(f"error: {exc}\n")

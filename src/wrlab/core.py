@@ -275,18 +275,23 @@ def winstats_from_verdicts(verdict: np.ndarray, level: np.ndarray, pairing: str,
                     n_treatment=n_treatment, n_control=n_control)
 
 
+def compare_arms(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
+                 h: Hierarchy) -> tuple[np.ndarray, WinStats]:
+    """Cross-arm verdict matrix and its unmatched tally, from one comparison."""
+    verdict, level = pairwise_verdicts(t_cols, c_cols, h)
+    return verdict, winstats_from_verdicts(verdict, level, "unmatched",
+                                           verdict.shape[0], verdict.shape[1], len(h))
+
+
 def tally_columns(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
                   h: Hierarchy) -> WinStats:
-    """Unmatched tally over all pairs, columnar input (hot path for simulations)."""
-    verdict, level = pairwise_verdicts(t_cols, c_cols, h)
-    return winstats_from_verdicts(verdict, level, "unmatched",
-                                  verdict.shape[0], verdict.shape[1], len(h))
+    """Unmatched tally over all pairs, columnar input."""
+    return compare_arms(t_cols, c_cols, h)[1]
 
 
 def tally_unmatched(dataset: Iterable[PatientRecord], h: Hierarchy) -> WinStats:
     """Tally wins/losses/ties over all N_T x N_C cross-arm pairs."""
-    t_cols, c_cols = split_dataset(dataset, h)
-    return tally_columns(t_cols, c_cols, h)
+    return tally_columns(*split_dataset(dataset, h), h)
 
 
 def tally_matched(pairs: Sequence[tuple[PatientRecord, PatientRecord]],

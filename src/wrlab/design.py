@@ -125,16 +125,20 @@ def precision_sample_size(width: float, p_t: float = 0.5, p_tie: float = 0.0,
     return _split_arms(n, p_t)
 
 
-def mao_power(n_total: float, wr: float, xi0_sq: float, w0: float,
-              p_c: float = 0.5, alpha: float = 0.05) -> float:
-    """Power via the rank-variance method:
-    Phi(W0 log(WR) sqrt(p_c (1-p_c) N) / xi0 - Z_{1-a/2})."""
+def _check_mao(wr: float, xi0_sq: float, w0: float) -> None:
     if xi0_sq <= 0.0:
         raise InvalidInputError(f"xi0_sq must be > 0, got {xi0_sq}")
     if not 0.0 < w0 <= 1.0:
         raise InvalidInputError(f"w0 must be in (0, 1], got {w0}")
     if wr <= 0.0:
         raise InvalidInputError(f"wr must be > 0, got {wr}")
+
+
+def mao_power(n_total: float, wr: float, xi0_sq: float, w0: float,
+              p_c: float = 0.5, alpha: float = 0.05) -> float:
+    """Power via the rank-variance method:
+    Phi(W0 log(WR) sqrt(p_c (1-p_c) N) / xi0 - Z_{1-a/2})."""
+    _check_mao(wr, xi0_sq, w0)
     if n_total < 2:
         raise InvalidInputError(f"n_total must be >= 2, got {n_total}")
     _check_allocation(p_c, "p_c")
@@ -146,12 +150,7 @@ def mao_power(n_total: float, wr: float, xi0_sq: float, w0: float,
 def mao_sample_size(wr: float, power: float, xi0_sq: float, w0: float,
                     p_c: float = 0.5, alpha: float = 0.05) -> SampleSize:
     """N = xi0^2 (Z_{1-b} + Z_{1-a/2})^2 / (p_c (1-p_c) W0^2 log(WR)^2)."""
-    if xi0_sq <= 0.0:
-        raise InvalidInputError(f"xi0_sq must be > 0, got {xi0_sq}")
-    if not 0.0 < w0 <= 1.0:
-        raise InvalidInputError(f"w0 must be in (0, 1], got {w0}")
-    if wr <= 0.0:
-        raise InvalidInputError(f"wr must be > 0, got {wr}")
+    _check_mao(wr, xi0_sq, w0)
     if wr == 1.0:
         raise InfiniteSampleSizeError("wr = 1: required sample size is infinite")
     if not 0.0 < power < 1.0:

@@ -19,10 +19,10 @@ import numpy as np
 
 from . import datagen
 from .core import (Arm, Direction, Hierarchy, LevelColumn, OutcomeKind,
-                   OutcomeSpec, WinStats, tally_columns, win_ratio)
+                   OutcomeSpec, WinStats, compare_arms, win_ratio)
 from .datagen import IphakPlan, TtePlan, WeibullParams, substream
 from .errors import InvalidInputError, WrlabError
-from .inference import (bootstrap_columns, infer_phi, score_test_columns,
+from .inference import (bootstrap_verdicts, infer_phi, score_test_verdicts,
                         wald_test_log_wr, yu_wald_test)
 from .stattests import (SurvivalSample, TwoByTwoTable, chi_square_test,
                         fisher_exact, log_rank_test, t_test)
@@ -185,6 +185,9 @@ class Scenario:
             if m in COMPARATOR_METHODS and m not in self.dgm.SUPPORTED_COMPARATORS:
                 raise InvalidInputError(
                     f"method {m!r} incompatible with {type(self.dgm).__name__}")
+        if "wr-unmatched:bootstrap" in self.methods and self.bootstrap_replicates < 2:
+            raise InvalidInputError(f"bootstrap needs bootstrap_replicates >= 2, "
+                                    f"got {self.bootstrap_replicates}")
 
 
 def _wilson_ci_excludes_one(stats: WinStats, alpha: float) -> bool:
@@ -193,17 +196,18 @@ def _wilson_ci_excludes_one(stats: WinStats, alpha: float) -> bool:
     return result.ci[0] > 1.0 or result.ci[1] < 1.0
 
 
-def _wr_rejection(variant: str, stats: WinStats, data: GeneratedData, h: Hierarchy,
-                  alpha: float, b: int, rng: np.random.Generator) -> tuple[bool, bool]:
-    """(reject, degenerate) for one WR analysis of one dataset."""
+def _wr_rejection(variant: str, verdict: np.ndarray, stats: WinStats, data: GeneratedData,
+                  h: Hierarchy, alpha: float, b: int,
+                  rng: np.random.Generator | None) -> tuple[bool, bool]:
+    """(reject, degenerate) for one WR analysis of one dataset's comparison."""
     if stats.n_informative == 0:
         return False, True
     if variant == "score":
-        return score_test_columns(data.t_cols, data.c_cols, h).p_value <= alpha, False
+        return score_test_verdicts(verdict, data.t_cols, data.c_cols, h).p_value <= alpha, False
     if stats.n_win == 0 or stats.n_loss == 0:
         return _wilson_ci_excludes_one(stats, alpha), True
     if variant == "bootstrap":
-        result = bootstrap_columns(data.t_cols, data.c_cols, h, b, alpha, rng)
+        result = bootstrap_verdicts(verdict, stats, b, alpha, rng)
         return (result.ci[0] > 1.0 or result.ci[1] < 1.0), bool(result.flags)
     if variant == "count-wald":
         result = wald_test_log_wr(stats, alpha=alpha)
@@ -213,21 +217,15 @@ def _wr_rejection(variant: str, stats: WinStats, data: GeneratedData, h: Hierarc
 
 
 def _comparator_pvalue(method: str, data: GeneratedData) -> float:
+    # Scenario admits only the comparators its DGM supports, and each DGM
+    # fills the outcome fields its supported comparators read.
     if method == "t-test":
-        if data.continuous is None:
-            raise InvalidInputError("t-test requires a continuous outcome")
         return t_test(data.continuous[0], data.continuous[1]).p_value
     if method == "fisher-exact":
-        if data.binary is None:
-            raise InvalidInputError("fisher-exact requires a binary outcome")
         return fisher_exact(TwoByTwoTable.from_binary(data.binary[0], data.binary[1]))
     if method == "chi-square":
-        if data.binary is None:
-            raise InvalidInputError("chi-square requires a binary outcome")
         return chi_square_test(TwoByTwoTable.from_binary(data.binary[0], data.binary[1])).p_value
     if method == "log-rank-ttfe":
-        if data.ttfe is None:
-            raise InvalidInputError("log-rank-ttfe requires time-to-event outcomes")
         return log_rank_test(data.ttfe).p_value
     raise InvalidInputError(f"unknown analysis method {method!r}")
 
@@ -252,9 +250,8 @@ def run_scenario(scenario: Scenario, n_iterations: int, master_seed: int,
     for i in range(n_iterations):
         data = scenario.dgm.generate(substream(master_seed, cell, i, 0),
                                      substream(master_seed, cell, i, 1))
-        stats: WinStats | None = None
         if wr_requested:
-            stats = tally_columns(data.t_cols, data.c_cols, h)
+            verdict, stats = compare_arms(data.t_cols, data.c_cols, h)
             for k, count in stats.decided_at_level.items():
                 decided_counts[k] += count
             if stats.n_informative > 0 and stats.n_loss > 0:
@@ -264,9 +261,10 @@ def run_scenario(scenario: Scenario, n_iterations: int, master_seed: int,
             try:
                 if method in WR_METHODS:
                     variant = method.split(":", 1)[1] if ":" in method else "score"
+                    rng = substream(master_seed, cell, i, 2) if variant == "bootstrap" else None
                     reject, degen = _wr_rejection(
-                        variant, stats, data, h, scenario.alpha,
-                        scenario.bootstrap_replicates, substream(master_seed, cell, i, 2))
+                        variant, verdict, stats, data, h, scenario.alpha,
+                        scenario.bootstrap_replicates, rng)
                     rejections[method] += reject
                     degenerate[method] += degen
                 else:

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import design
-from .core import (Hierarchy, LevelColumn, PatientRecord, WinStats,
+from .core import (Hierarchy, LevelColumn, PatientRecord, WinStats, compare_arms,
                    pairwise_verdicts, split_dataset, win_ratio)
 from .errors import AllTiesError, DegenerateCountsError, InvalidInputError
 from .kernels import norm_ppf, norm_sf
@@ -166,84 +166,73 @@ def _percentile_p(replicates: np.ndarray, null_value: float) -> float:
     return min(1.0, 2.0 * min(below, above))
 
 
-def bootstrap_columns(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
-                      h: Hierarchy, b: int, alpha: float,
-                      rng: np.random.Generator) -> InferenceResult:
-    """Bootstrap WR inference on columnar arm data.
+def bootstrap_verdicts(verdict: np.ndarray, stats: WinStats, b: int, alpha: float,
+                       rng: np.random.Generator | int | None) -> InferenceResult:
+    """Bootstrap WR inference on a cross-arm verdict matrix and its tally.
 
     Resamples patients with replacement within each arm (as multinomial
-    pair multiplicities over the precomputed verdict matrix, which gives
-    tallies identical to recounting the resampled patients) and builds a
-    percentile CI at level alpha.
+    pair multiplicities over the verdict matrix, which gives tallies
+    identical to recounting the resampled patients) and builds a percentile
+    CI at level alpha. `rng` is a Generator or a seed for it.
     """
     _check_alpha(alpha)
     if b < 2:
         raise InvalidInputError(f"bootstrap needs b >= 2 replicates, got {b}")
-    verdict, _ = pairwise_verdicts(t_cols, c_cols, h)
+    rng = np.random.default_rng(rng)
     n_t, n_c = verdict.shape
-    wins_m = (verdict == 1).astype(np.float64)
-    loss_m = (verdict == -1).astype(np.float64)
     mult_t = rng.multinomial(n_t, np.full(n_t, 1.0 / n_t), size=b).astype(np.float64)
     mult_c = rng.multinomial(n_c, np.full(n_c, 1.0 / n_c), size=b).astype(np.float64)
-    wins = ((mult_t @ wins_m) * mult_c).sum(axis=1)
-    losses = ((mult_t @ loss_m) * mult_c).sum(axis=1)
-    degenerate = (losses == 0) | (wins + losses == 0)
-    n_degen = int(degenerate.sum())
-    valid = np.where(~degenerate)[0]
-    flags: tuple[str, ...] = ()
-    if n_degen > 0.2 * b or valid.size < 2:
-        flags = ("degenerate-replicates",)
-
-    n_win_full = int((verdict == 1).sum())
-    n_loss_full = int((verdict == -1).sum())
-    if n_win_full + n_loss_full == 0:
-        raise AllTiesError("all comparisons tied; bootstrap undefined")
-    wr = math.inf if n_loss_full == 0 else n_win_full / n_loss_full
-
-    if valid.size >= 2:
+    wins = ((mult_t @ (verdict == 1).astype(np.float64)) * mult_c).sum(axis=1)
+    losses = ((mult_t @ (verdict == -1).astype(np.float64)) * mult_c).sum(axis=1)
+    valid = losses > 0  # a replicate without losses has no finite WR
+    n_valid = int(valid.sum())
+    flags = ("degenerate-replicates",) if b - n_valid > 0.2 * b or n_valid < 2 else ()
+    wr = win_ratio(stats)
+    if n_valid >= 2:
         wr_b = wins[valid] / losses[valid]
         ci = (float(np.quantile(wr_b, alpha / 2.0)), float(np.quantile(wr_b, 1.0 - alpha / 2.0)))
         positive = wr_b[wr_b > 0]
         se_log = float(np.log(positive).std(ddof=1)) if positive.size >= 2 else math.inf
         p_value = _percentile_p(wr_b, 1.0)
     else:
-        ci = (wr, wr)
-        se_log = math.inf
-        p_value = 1.0
-    if wr == 0.0:
-        log_wr = -math.inf
-    else:
-        log_wr = math.log(wr) if math.isfinite(wr) else math.inf
+        ci, se_log, p_value = (wr, wr), math.inf, 1.0
+    log_wr = math.log(wr) if wr > 0.0 else -math.inf
     z = log_wr / se_log if se_log > 0 and math.isfinite(log_wr) else math.copysign(
         math.inf, log_wr)
     return InferenceResult(estimate=wr, log_estimate=log_wr, se_log=se_log, ci=ci,
                            z=z, p_value=p_value, alpha=alpha, method="bootstrap",
-                           flags=flags, n_degenerate=n_degen)
+                           flags=flags, n_degenerate=b - n_valid)
+
+
+def bootstrap_columns(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
+                      h: Hierarchy, b: int, alpha: float,
+                      rng: np.random.Generator) -> InferenceResult:
+    """Bootstrap WR inference on columnar arm data."""
+    verdict, stats = compare_arms(t_cols, c_cols, h)
+    return bootstrap_verdicts(verdict, stats, b, alpha, rng)
 
 
 def bootstrap_wr(dataset: Iterable[PatientRecord], h: Hierarchy, b: int = 1000,
                  alpha: float = 0.05, seed: int | None = None) -> InferenceResult:
     """Bootstrap WR inference for a record-level dataset (unmatched pairing)."""
-    t_cols, c_cols = split_dataset(dataset, h)
-    rng = np.random.default_rng(seed)
-    return bootstrap_columns(t_cols, c_cols, h, b, alpha, rng)
+    return bootstrap_columns(*split_dataset(dataset, h), h, b, alpha, np.random.default_rng(seed))
 
 
-def score_test_columns(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
-                       h: Hierarchy) -> TestResult:
-    """Permutation-variance score test of no treatment effect (columnar input).
+def score_test_verdicts(cross: np.ndarray, t_cols: Sequence[LevelColumn],
+                        c_cols: Sequence[LevelColumn], h: Hierarchy) -> TestResult:
+    """Permutation-variance score test of no treatment effect.
 
-    Scores every patient by net pairwise beats over the pooled sample; the
-    statistic is the treatment-arm score sum, which equals N_win - N_loss,
+    Scores every patient by net pairwise beats over the pooled sample, from
+    the cross-arm verdict matrix `cross` and the two within-arm comparisons;
+    the statistic is the treatment-arm score sum, which equals N_win - N_loss,
     with its exact arm-relabeling variance n_t n_c sum(u^2) / (N (N - 1)).
     Unlike the Wald tests on log(WR), the statistic is linear in the
     comparisons, so its normal approximation holds at small arm sizes.
     """
-    cross, _ = pairwise_verdicts(t_cols, c_cols, h)
-    within_t, _ = pairwise_verdicts(t_cols, t_cols, h)
-    within_c, _ = pairwise_verdicts(c_cols, c_cols, h)
-    u_t = cross.sum(axis=1, dtype=np.int64) + within_t.sum(axis=1, dtype=np.int64)
-    u_c = -cross.sum(axis=0, dtype=np.int64) + within_c.sum(axis=1, dtype=np.int64)
+    u_t = (cross.sum(axis=1, dtype=np.int64)
+           + pairwise_verdicts(t_cols, t_cols, h)[0].sum(axis=1, dtype=np.int64))
+    u_c = (-cross.sum(axis=0, dtype=np.int64)
+           + pairwise_verdicts(c_cols, c_cols, h)[0].sum(axis=1, dtype=np.int64))
     n_t, n_c = cross.shape
     n = n_t + n_c
     statistic = float(u_t.sum())  # = N_win - N_loss over cross-arm pairs
@@ -255,7 +244,12 @@ def score_test_columns(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColu
     return TestResult(statistic=z, p_value=min(1.0, 2.0 * norm_sf(abs(z))))
 
 
+def score_test_columns(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
+                       h: Hierarchy) -> TestResult:
+    """Permutation-variance score test on columnar arm data."""
+    return score_test_verdicts(pairwise_verdicts(t_cols, c_cols, h)[0], t_cols, c_cols, h)
+
+
 def score_test(dataset: Iterable[PatientRecord], h: Hierarchy) -> TestResult:
     """Permutation-variance score test for a record-level dataset."""
-    t_cols, c_cols = split_dataset(dataset, h)
-    return score_test_columns(t_cols, c_cols, h)
+    return score_test_columns(*split_dataset(dataset, h), h)

@@ -14,8 +14,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .core import (Arm, Direction, Hierarchy, LevelValue, OutcomeKind,
-                   OutcomeSpec, PatientRecord)
-from .errors import DatasetFormatError
+                   OutcomeSpec, PatientRecord, _validate_scalar, _validate_tte)
+from .errors import DatasetFormatError, InvalidInputError
 
 HIERARCHY_SCHEMA = "wrlab/hierarchy-v1"
 
@@ -71,20 +71,18 @@ def read_dataset(path: str | Path, hierarchy: Hierarchy) -> list[PatientRecord]:
             values: list[LevelValue] = []
             for spec in hierarchy.levels:
                 if spec.kind is OutcomeKind.TIME_TO_EVENT:
-                    tcol, ecol = _level_columns(spec)
-                    t = _parse_cell(row[index[tcol]].strip(), "time", path, line_no, tcol)
-                    e = _parse_cell(row[index[ecol]].strip(), "event", path, line_no, ecol)
-                    if t < 0:
-                        raise DatasetFormatError(
-                            f"{path}:{line_no}: column '{tcol}': time must be >= 0, got {t}")
-                    values.append((t, bool(e)))
+                    col, ecol = _level_columns(spec)
+                    value = (_parse_cell(row[index[col]].strip(), "time", path, line_no, col),
+                             _parse_cell(row[index[ecol]].strip(), "event", path, line_no, ecol))
+                    validate = _validate_tte
                 else:
                     col = spec.name
-                    v = _parse_cell(row[index[col]].strip(), "value", path, line_no, col)
-                    if spec.kind is OutcomeKind.BINARY and v not in (0.0, 1.0):
-                        raise DatasetFormatError(
-                            f"{path}:{line_no}: column '{col}': binary value must be 0 or 1, got {v}")
-                    values.append(v)
+                    value = _parse_cell(row[index[col]].strip(), "value", path, line_no, col)
+                    validate = _validate_scalar
+                try:
+                    values.append(validate(value, spec))
+                except InvalidInputError as exc:
+                    raise DatasetFormatError(f"{path}:{line_no}: column '{col}': {exc}") from None
             records.append(PatientRecord(id=row[index["id"]].strip(),
                                          arm=Arm(arm_raw), values=tuple(values)))
     if not records:

@@ -1,8 +1,9 @@
 """Naive reference implementations, written independently of the package and
 used only in tests: a double-loop win/loss/tie comparator over per-patient
-dicts, and a full-enumeration two-sided Fisher exact p-value."""
+dicts, a pooled net-score z built on it, and a full-enumeration two-sided
+Fisher exact p-value."""
 
-from math import comb
+from math import comb, sqrt
 
 
 def compare_one_level(t_value, c_value, kind, direction, margin):
@@ -65,6 +66,25 @@ def naive_tally(t_patients, c_patients, levels):
                 ties += 1
     return {"wins": wins, "losses": losses, "ties": ties,
             "pairs": len(t_patients) * len(c_patients), "by_level": by_level}
+
+
+def naive_score_z(t_patients, c_patients, levels):
+    """Pooled net-score z, or None when every net score is zero.
+
+    Each patient's score u_i is +1 per patient of either arm it beats and -1
+    per patient that beats it; the statistic is the treatment-arm score sum,
+    with the arm-relabeling variance n_t n_c sum(u^2) / (N (N - 1)).
+    """
+    sign = {"win": 1, "loss": -1, "tie": 0}
+    pooled = list(t_patients) + list(c_patients)
+    u = [sum(sign[compare_hierarchically(p, q, levels)[0]]
+             for j, q in enumerate(pooled) if j != i)
+         for i, p in enumerate(pooled)]
+    n_t, n_c, n = len(t_patients), len(c_patients), len(pooled)
+    sum_sq = sum(x * x for x in u)
+    if sum_sq == 0:
+        return None
+    return sum(u[:n_t]) / sqrt(n_t * n_c * sum_sq / (n * (n - 1)))
 
 
 def enumerate_fisher_p(a, b, c, d):

@@ -162,10 +162,40 @@ class TestSimulateCommand:
         assert "n_iterations must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["x", 2.5, True, 0])
+    def test_config_iterations_must_be_positive_int(self, tmp_path, capsys, value):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"schema": "wrlab/grid-v1", "dgm": "iphak",
+                                      "iterations": value}))
+        assert main(["simulate", "--config", str(config)]) == 2
+        assert "'iterations'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", ["iphak", "binary-continuous", "ttfe-weibull"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_preset_output_byte_identical(self, tmp_path, preset, fmt):
+        out = tmp_path / f"res.{fmt}"
+        assert main(["simulate", "--preset", preset, "--seed", "1", "--iterations", "5",
+                     "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA_DIR / f"golden_{preset}.{fmt}").read_bytes()
+
     def test_bad_config_schema_exit_2(self, tmp_path, capsys):
         config = tmp_path / "grid.json"
         config.write_text(json.dumps({"schema": "other"}))
         assert main(["simulate", "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize("argv, missing, given", [
+    (["power", "mao", "--wr", "1.5"], ["--n-total", "--xi0-sq", "--w0"], ["--wr"]),
+    (["power", "mao", "--n-total", "200", "--xi0-sq", "0.3"], ["--wr", "--w0"],
+     ["--n-total", "--xi0-sq"]),
+    (["samplesize", "mao", "--wr", "1.5", "--w0", "0.5"], ["--xi0-sq"], ["--wr", "--w0"]),
+    (["samplesize", "mao"], ["--wr", "--xi0-sq", "--w0"], []),
+])
+def test_missing_flags_named(capsys, argv, missing, given):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in missing)
+    assert not any(flag in err for flag in given)
 
 
 def test_usage_error_exit_code():

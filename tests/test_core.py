@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from wrlab.core import (Arm, Direction, Hierarchy, OutcomeKind, OutcomeSpec,
-                        PatientRecord, Verdict, compare_at_level, compare_pair,
-                        tally_matched, tally_unmatched, win_odds, win_ratio,
-                        WinStats)
+                        PatientRecord, Verdict, compare_arms, compare_at_level,
+                        compare_pair, split_dataset, tally_matched, tally_unmatched,
+                        win_odds, win_ratio, WinStats)
 from wrlab.errors import AllTiesError, InvalidInputError
+from wrlab.inference import bootstrap_verdicts, bootstrap_wr, score_test_verdicts
 
-from naive_oracle import compare_hierarchically, naive_tally
+from naive_oracle import compare_hierarchically, naive_score_z, naive_tally
 from random_datasets import random_dataset, to_oracle_form
 
 TTE_UP = OutcomeSpec("death", OutcomeKind.TIME_TO_EVENT, Direction.HIGHER)
@@ -191,6 +192,19 @@ class TestInvariantsOnRandomData:
                 sum(v == want for v, _ in pair_ref) for want in ("win", "loss", "tie"))
             assert dict(m.decided_at_level) == dict(Counter(k for _, k in pair_ref
                                                             if k is not None))
+            # One shared comparison feeds the tally, the score test and the
+            # bootstrap; each must match its independent reference.
+            t_cols, c_cols = split_dataset(records, h)
+            verdict, shared = compare_arms(t_cols, c_cols, h)
+            assert (shared.n_win, shared.n_loss, shared.n_tie) == (
+                ref["wins"], ref["losses"], ref["ties"])
+            assert dict(shared.decided_at_level) == ref["by_level"]
+            # (None of these datasets is all ties, so both tests are defined.)
+            z = score_test_verdicts(verdict, t_cols, c_cols, h).statistic
+            assert z == pytest.approx(naive_score_z(t_pat, c_pat, levels), rel=1e-12, abs=1e-12)
+            boot = bootstrap_verdicts(verdict, shared, 50, 0.05, 11)
+            assert boot == bootstrap_wr(records, h, b=50, alpha=0.05, seed=11)
+            assert boot.estimate == (ref["wins"] / ref["losses"] if ref["losses"] else math.inf)
 
     def test_antisymmetry_under_arm_swap(self):
         rng = np.random.default_rng(77)

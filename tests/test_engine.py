@@ -83,6 +83,13 @@ class TestScenarioValidation:
         with pytest.raises(InvalidInputError):
             Scenario("bad", dgm, ("anova",))
 
+    def test_bootstrap_needs_two_replicates(self):
+        dgm = BinaryContinuousDgm(p_treatment=0.5, delta=0.5)
+        with pytest.raises(InvalidInputError, match="bootstrap_replicates"):
+            Scenario("bad", dgm, ("wr-unmatched:bootstrap",), bootstrap_replicates=1)
+        # The replicate count only matters when the bootstrap runs.
+        Scenario("ok", dgm, ("wr-unmatched:yu",), bootstrap_replicates=1)
+
 
 class TestRunScenario:
     def test_same_data_for_all_methods_and_counts(self):

@@ -65,6 +65,18 @@ class TestDatasetErrors:
         with pytest.raises(DatasetFormatError, match="event indicator must be 0 or 1"):
             read_dataset(path, H)
 
+    @pytest.mark.parametrize("row, column", [
+        ("p1,T,10,1,nan,0", "dose"),
+        ("p1,T,inf,1,0.5,0", "time_death"),
+        ("p1,T,10,1,0.5,2.5", "visits"),
+        ("p1,T,-1,0,0.5,1", "time_death"),
+    ])
+    def test_invalid_values_report_position(self, tmp_path, row, column):
+        h = Hierarchy(H.levels + (OutcomeSpec("visits", OutcomeKind.COUNT, Direction.LOWER),))
+        path = self.write(tmp_path, f"id,arm,time_death,event_death,dose,visits\n{row}\n")
+        with pytest.raises(DatasetFormatError, match=f":2: column '{column}'"):
+            read_dataset(path, h)
+
     def test_empty_file(self, tmp_path):
         path = self.write(tmp_path, "")
         with pytest.raises(DatasetFormatError):
