@@ -61,8 +61,9 @@ def _parse_floats(raw: str) -> list[float]:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     hierarchy = io.read_hierarchy(args.hierarchy)
-    t_cols, c_cols = split_dataset(io.read_dataset(args.data, hierarchy), hierarchy)
-    verdict, stats = compare_arms(t_cols, c_cols, hierarchy)
+    cmp = compare_arms(*split_dataset(io.read_dataset(args.data, hierarchy), hierarchy),
+                       hierarchy)
+    stats = cmp.stats
     lines = [f"patients: T={stats.n_treatment} C={stats.n_control}",
              f"pairs (unmatched): {stats.n_pairs}",
              f"wins: {stats.n_win}  losses: {stats.n_loss}  ties: {stats.n_tie}",
@@ -84,13 +85,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except WrlabError as exc:
         lines.append(f"  (log-scale Wald inference unavailable: {exc})")
     if args.bootstrap:
-        results.append(bootstrap_verdicts(verdict, stats, args.bootstrap, args.alpha,
-                                          args.seed))
+        results.append(bootstrap_verdicts(cmp, args.bootstrap, args.alpha, args.seed))
     for r in results:
         lines.append(f"  {r.method:<24} {_fmt(r.estimate):>10} {_fmt(r.ci[0]):>10} "
                      f"{_fmt(r.ci[1]):>10} {_fmt(r.z):>10} {_fmt(r.p_value):>10}")
     try:
-        score = score_test_verdicts(verdict, t_cols, c_cols, hierarchy)
+        score = score_test_verdicts(cmp)
         lines.append(f"score test: z={_fmt(score.statistic)} p={_fmt(score.p_value)}")
     except WrlabError as exc:
         lines.append(f"score test unavailable: {exc}")
@@ -340,8 +340,9 @@ def main(argv: list[str] | None = None) -> int:
         mode = getattr(args, "method", None) or getattr(args, "distribution", None)
         missing = [flag for flag in _REQUIRED_FLAGS.get((args.command, mode), ())
                    if getattr(args, flag) is None]
-        # `power yu` with --n-grid prints the tie-sensitivity table instead.
-        if missing and not ((args.command, mode) == ("power", "yu") and args.n_grid):
+        # `power yu` with any grid flag prints the tie-sensitivity table instead.
+        if missing and not ((args.command, mode) == ("power", "yu")
+                            and (args.n_grid or args.wr_grid or args.p_tie_grid)):
             raise InvalidInputError(f"{args.command} {mode} needs "
                                     + ", ".join("--" + f.replace("_", "-") for f in missing))
         return args.func(args)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -80,6 +80,11 @@ class Hierarchy:
 
     def __len__(self) -> int:
         return len(self.levels)
+
+    @property
+    def lexicographic(self) -> bool:
+        """Every level is scalar with margin 0, so pairs compare in lexicographic order."""
+        return all(s.kind is not OutcomeKind.TIME_TO_EVENT and s.margin == 0 for s in self.levels)
 
 
 # Per-level patient value: scalar for continuous/binary/count, or a
@@ -275,18 +280,83 @@ def winstats_from_verdicts(verdict: np.ndarray, level: np.ndarray, pairing: str,
                     n_treatment=n_treatment, n_control=n_control)
 
 
-def compare_arms(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
-                 h: Hierarchy) -> tuple[np.ndarray, WinStats]:
-    """Cross-arm verdict matrix and its unmatched tally, from one comparison."""
+@dataclass(frozen=True)
+class ArmComparison:
+    """All cross-arm comparisons of one unmatched dataset: the tally `stats`,
+    `net_scores()`, each patient's wins minus losses against the pooled sample
+    as int64 (u_t, u_c), and `cross()`, the N_T x N_C int8 verdict matrix."""
+
+    stats: WinStats
+    net_scores: Callable[[], tuple[np.ndarray, np.ndarray]]
+    cross: Callable[[], np.ndarray]
+
+
+def _lex_ranks(keys: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Group ids of the rows under each key prefix (ids ascend in lexicographic
+    order, first key most significant; equal keys, equal id), and the number
+    of rows strictly below and strictly above each row under all keys."""
+    order = np.lexsort(keys[::-1])
+    opens = np.zeros(order.size, dtype=bool)
+    ids = []
+    for key in keys:
+        s = key[order]
+        opens[1:] |= s[1:] != s[:-1]
+        ids.append(np.empty(order.size, dtype=np.int64))
+        ids[-1][order] = np.cumsum(opens)
+    size = np.bincount(ids[-1])
+    upto = np.cumsum(size)[ids[-1]]
+    return ids, upto - size[ids[-1]], order.size - upto
+
+
+def _rank_comparison(keys: list[np.ndarray], n_t: int) -> ArmComparison:
+    """One sort of the pooled direction-signed keys (larger is better); exact, because
+    for finite doubles a - b > 0 iff a > b and a - b = 0 iff a = b."""
+    ids, below, above = _lex_ranks(keys)
+    n_c, u, gid = keys[0].size - n_t, below - above, ids[-1]
+    # Cross pairs still tied after each key prefix.
+    tied = [n_t * n_c] + [int(np.bincount(g[:n_t], minlength=g.size)
+                              @ np.bincount(g[n_t:], minlength=g.size)) for g in ids]
+    # Within-arm scores cancel, so the treatment scores sum to wins - losses.
+    net, decided = int(u[:n_t].sum()), n_t * n_c - tied[-1]
+    stats = WinStats(n_win=(decided + net) // 2, n_loss=(decided - net) // 2, n_tie=tied[-1],
+                     n_pairs=n_t * n_c, pairing="unmatched", n_treatment=n_t, n_control=n_c,
+                     decided_at_level={k: tied[k] - tied[k + 1] for k in range(len(keys))
+                                       if tied[k] > tied[k + 1]})
+    return ArmComparison(stats, lambda: (u[:n_t], u[n_t:]),
+                         lambda: np.sign(gid[:n_t, None] - gid[None, n_t:]).astype(np.int8))
+
+
+def _matrix_comparison(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
+                       h: Hierarchy) -> ArmComparison:
+    """Censored or margined hierarchies: the level cascade over every pair."""
     verdict, level = pairwise_verdicts(t_cols, c_cols, h)
-    return verdict, winstats_from_verdicts(verdict, level, "unmatched",
-                                           verdict.shape[0], verdict.shape[1], len(h))
+    def net_scores() -> tuple[np.ndarray, np.ndarray]:
+        return (verdict.sum(axis=1, dtype=np.int64)
+                + pairwise_verdicts(t_cols, t_cols, h)[0].sum(axis=1, dtype=np.int64),
+                -verdict.sum(axis=0, dtype=np.int64)
+                + pairwise_verdicts(c_cols, c_cols, h)[0].sum(axis=1, dtype=np.int64))
+    return ArmComparison(winstats_from_verdicts(verdict, level, "unmatched", *verdict.shape,
+                                                len(h)), net_scores, lambda: verdict)
+
+
+def compare_arms(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
+                 h: Hierarchy) -> ArmComparison:
+    """Compare every treatment patient with every control patient, once."""
+    pooled = [np.concatenate([t[0], c[0]] if isinstance(t, tuple) else [t, c])
+              for t, c in zip(t_cols, c_cols)]
+    for spec, values in zip(h.levels, pooled):
+        if np.isnan(values).any():
+            raise InvalidInputError(f"level '{spec.name}': NaN value or time")
+    if h.lexicographic:
+        return _rank_comparison([v if s.direction is Direction.HIGHER else -v
+                                 for s, v in zip(h.levels, pooled)], len(t_cols[0]))
+    return _matrix_comparison(t_cols, c_cols, h)
 
 
 def tally_columns(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
                   h: Hierarchy) -> WinStats:
     """Unmatched tally over all pairs, columnar input."""
-    return compare_arms(t_cols, c_cols, h)[1]
+    return compare_arms(t_cols, c_cols, h).stats
 
 
 def tally_unmatched(dataset: Iterable[PatientRecord], h: Hierarchy) -> WinStats:

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .core import _lex_ranks
 from .errors import (InfiniteSampleSizeError, InvalidInputError,
                      UnboundedVarianceError)
 from .kernels import norm_cdf, norm_ppf
@@ -175,9 +176,7 @@ def mao_xi0_from_pilot(sample: Sequence[float]) -> tuple[float, float]:
     if not np.all(np.isfinite(y)):
         raise InvalidInputError("pilot sample must be finite")
     n = y.size
-    sy = np.sort(y)
-    n_lt = np.searchsorted(sy, y, side="left")
-    n_gt = n - np.searchsorted(sy, y, side="right")
+    _, n_lt, n_gt = _lex_ranks([y])
     r = (n_gt - n_lt) / n
     xi0_sq = float(np.mean(r * r))
     w0 = float(n_gt.sum() / (n * (n - 1)))

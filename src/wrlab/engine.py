@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from . import datagen
-from .core import (Arm, Direction, Hierarchy, LevelColumn, OutcomeKind,
+from .core import (Arm, ArmComparison, Direction, Hierarchy, LevelColumn, OutcomeKind,
                    OutcomeSpec, WinStats, compare_arms, win_ratio)
 from .datagen import IphakPlan, TtePlan, WeibullParams, substream
 from .errors import InvalidInputError, WrlabError
@@ -196,18 +196,18 @@ def _wilson_ci_excludes_one(stats: WinStats, alpha: float) -> bool:
     return result.ci[0] > 1.0 or result.ci[1] < 1.0
 
 
-def _wr_rejection(variant: str, verdict: np.ndarray, stats: WinStats, data: GeneratedData,
-                  h: Hierarchy, alpha: float, b: int,
+def _wr_rejection(variant: str, cmp: ArmComparison, alpha: float, b: int,
                   rng: np.random.Generator | None) -> tuple[bool, bool]:
     """(reject, degenerate) for one WR analysis of one dataset's comparison."""
+    stats = cmp.stats
     if stats.n_informative == 0:
         return False, True
     if variant == "score":
-        return score_test_verdicts(verdict, data.t_cols, data.c_cols, h).p_value <= alpha, False
+        return score_test_verdicts(cmp).p_value <= alpha, False
     if stats.n_win == 0 or stats.n_loss == 0:
         return _wilson_ci_excludes_one(stats, alpha), True
     if variant == "bootstrap":
-        result = bootstrap_verdicts(verdict, stats, b, alpha, rng)
+        result = bootstrap_verdicts(cmp, b, alpha, rng)
         return (result.ci[0] > 1.0 or result.ci[1] < 1.0), bool(result.flags)
     if variant == "count-wald":
         result = wald_test_log_wr(stats, alpha=alpha)
@@ -251,20 +251,19 @@ def run_scenario(scenario: Scenario, n_iterations: int, master_seed: int,
         data = scenario.dgm.generate(substream(master_seed, cell, i, 0),
                                      substream(master_seed, cell, i, 1))
         if wr_requested:
-            verdict, stats = compare_arms(data.t_cols, data.c_cols, h)
-            for k, count in stats.decided_at_level.items():
+            cmp = compare_arms(data.t_cols, data.c_cols, h)
+            for k, count in cmp.stats.decided_at_level.items():
                 decided_counts[k] += count
-            if stats.n_informative > 0 and stats.n_loss > 0:
-                wr_sum += win_ratio(stats)
+            if cmp.stats.n_loss > 0:
+                wr_sum += win_ratio(cmp.stats)
                 wr_count += 1
         for method in scenario.methods:
             try:
                 if method in WR_METHODS:
                     variant = method.split(":", 1)[1] if ":" in method else "score"
                     rng = substream(master_seed, cell, i, 2) if variant == "bootstrap" else None
-                    reject, degen = _wr_rejection(
-                        variant, verdict, stats, data, h, scenario.alpha,
-                        scenario.bootstrap_replicates, rng)
+                    reject, degen = _wr_rejection(variant, cmp, scenario.alpha,
+                                                  scenario.bootstrap_replicates, rng)
                     rejections[method] += reject
                     degenerate[method] += degen
                 else:

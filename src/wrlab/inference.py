@@ -15,8 +15,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import design
-from .core import (Hierarchy, LevelColumn, PatientRecord, WinStats, compare_arms,
-                   pairwise_verdicts, split_dataset, win_ratio)
+from .core import (ArmComparison, Hierarchy, LevelColumn, PatientRecord, WinStats,
+                   compare_arms, split_dataset, win_ratio)
 from .errors import AllTiesError, DegenerateCountsError, InvalidInputError
 from .kernels import norm_ppf, norm_sf
 from .stattests import TestResult
@@ -166,28 +166,35 @@ def _percentile_p(replicates: np.ndarray, null_value: float) -> float:
     return min(1.0, 2.0 * min(below, above))
 
 
-def bootstrap_verdicts(verdict: np.ndarray, stats: WinStats, b: int, alpha: float,
-                       rng: np.random.Generator | int | None) -> InferenceResult:
-    """Bootstrap WR inference on a cross-arm verdict matrix and its tally.
+def _replicate_tallies(cross: np.ndarray, b: int, rng: np.random.Generator
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Wins and losses of b within-arm patient resamples, from the verdict matrix.
 
-    Resamples patients with replacement within each arm (as multinomial
-    pair multiplicities over the verdict matrix, which gives tallies
-    identical to recounting the resampled patients) and builds a percentile
-    CI at level alpha. `rng` is a Generator or a seed for it.
+    Each arm draws n iid uniform indices per replicate (treatment first): their
+    counts are Multinomial(n, 1/n), and weighting each pair by the product of
+    its patients' counts gives exactly the tally of the resampled patients."""
+    mult_t, mult_c = (np.bincount((rng.integers(0, n, (b, n)) + np.arange(0, b * n, n)[:, None])
+                                  .ravel(), minlength=b * n).reshape(b, n).astype(np.float64)
+                      for n in cross.shape)
+    return tuple(np.einsum("ij,ij->i", mult_t @ (cross == v).astype(np.float64), mult_c)
+                 for v in (1, -1))
+
+
+def bootstrap_verdicts(cmp: ArmComparison, b: int, alpha: float,
+                       rng: np.random.Generator | int | None) -> InferenceResult:
+    """Bootstrap WR inference on one dataset's cross-arm comparison.
+
+    Resamples patients with replacement within each arm and builds a
+    percentile CI at level alpha. `rng` is a Generator or a seed for it.
     """
     _check_alpha(alpha)
     if b < 2:
         raise InvalidInputError(f"bootstrap needs b >= 2 replicates, got {b}")
-    rng = np.random.default_rng(rng)
-    n_t, n_c = verdict.shape
-    mult_t = rng.multinomial(n_t, np.full(n_t, 1.0 / n_t), size=b).astype(np.float64)
-    mult_c = rng.multinomial(n_c, np.full(n_c, 1.0 / n_c), size=b).astype(np.float64)
-    wins = ((mult_t @ (verdict == 1).astype(np.float64)) * mult_c).sum(axis=1)
-    losses = ((mult_t @ (verdict == -1).astype(np.float64)) * mult_c).sum(axis=1)
+    wins, losses = _replicate_tallies(cmp.cross(), b, np.random.default_rng(rng))
     valid = losses > 0  # a replicate without losses has no finite WR
     n_valid = int(valid.sum())
     flags = ("degenerate-replicates",) if b - n_valid > 0.2 * b or n_valid < 2 else ()
-    wr = win_ratio(stats)
+    wr = win_ratio(cmp.stats)
     if n_valid >= 2:
         wr_b = wins[valid] / losses[valid]
         ci = (float(np.quantile(wr_b, alpha / 2.0)), float(np.quantile(wr_b, 1.0 - alpha / 2.0)))
@@ -208,8 +215,7 @@ def bootstrap_columns(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColum
                       h: Hierarchy, b: int, alpha: float,
                       rng: np.random.Generator) -> InferenceResult:
     """Bootstrap WR inference on columnar arm data."""
-    verdict, stats = compare_arms(t_cols, c_cols, h)
-    return bootstrap_verdicts(verdict, stats, b, alpha, rng)
+    return bootstrap_verdicts(compare_arms(t_cols, c_cols, h), b, alpha, rng)
 
 
 def bootstrap_wr(dataset: Iterable[PatientRecord], h: Hierarchy, b: int = 1000,
@@ -218,22 +224,17 @@ def bootstrap_wr(dataset: Iterable[PatientRecord], h: Hierarchy, b: int = 1000,
     return bootstrap_columns(*split_dataset(dataset, h), h, b, alpha, np.random.default_rng(seed))
 
 
-def score_test_verdicts(cross: np.ndarray, t_cols: Sequence[LevelColumn],
-                        c_cols: Sequence[LevelColumn], h: Hierarchy) -> TestResult:
+def score_test_verdicts(cmp: ArmComparison) -> TestResult:
     """Permutation-variance score test of no treatment effect.
 
-    Scores every patient by net pairwise beats over the pooled sample, from
-    the cross-arm verdict matrix `cross` and the two within-arm comparisons;
-    the statistic is the treatment-arm score sum, which equals N_win - N_loss,
+    Scores every patient by net pairwise beats over the pooled sample; the
+    statistic is the treatment-arm score sum, which equals N_win - N_loss,
     with its exact arm-relabeling variance n_t n_c sum(u^2) / (N (N - 1)).
     Unlike the Wald tests on log(WR), the statistic is linear in the
     comparisons, so its normal approximation holds at small arm sizes.
     """
-    u_t = (cross.sum(axis=1, dtype=np.int64)
-           + pairwise_verdicts(t_cols, t_cols, h)[0].sum(axis=1, dtype=np.int64))
-    u_c = (-cross.sum(axis=0, dtype=np.int64)
-           + pairwise_verdicts(c_cols, c_cols, h)[0].sum(axis=1, dtype=np.int64))
-    n_t, n_c = cross.shape
+    u_t, u_c = cmp.net_scores()
+    n_t, n_c = u_t.size, u_c.size
     n = n_t + n_c
     statistic = float(u_t.sum())  # = N_win - N_loss over cross-arm pairs
     sum_sq = float((u_t * u_t).sum() + (u_c * u_c).sum())
@@ -247,7 +248,7 @@ def score_test_verdicts(cross: np.ndarray, t_cols: Sequence[LevelColumn],
 def score_test_columns(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
                        h: Hierarchy) -> TestResult:
     """Permutation-variance score test on columnar arm data."""
-    return score_test_verdicts(pairwise_verdicts(t_cols, c_cols, h)[0], t_cols, c_cols, h)
+    return score_test_verdicts(compare_arms(t_cols, c_cols, h))
 
 
 def score_test(dataset: Iterable[PatientRecord], h: Hierarchy) -> TestResult:

@@ -68,19 +68,28 @@ def naive_tally(t_patients, c_patients, levels):
             "pairs": len(t_patients) * len(c_patients), "by_level": by_level}
 
 
-def naive_score_z(t_patients, c_patients, levels):
-    """Pooled net-score z, or None when every net score is zero.
+def naive_net_scores(t_patients, c_patients, levels):
+    """Pooled net scores, treatment patients first.
 
     Each patient's score u_i is +1 per patient of either arm it beats and -1
-    per patient that beats it; the statistic is the treatment-arm score sum,
-    with the arm-relabeling variance n_t n_c sum(u^2) / (N (N - 1)).
+    per patient that beats it.
     """
     sign = {"win": 1, "loss": -1, "tie": 0}
     pooled = list(t_patients) + list(c_patients)
-    u = [sum(sign[compare_hierarchically(p, q, levels)[0]]
-             for j, q in enumerate(pooled) if j != i)
-         for i, p in enumerate(pooled)]
-    n_t, n_c, n = len(t_patients), len(c_patients), len(pooled)
+    return [sum(sign[compare_hierarchically(p, q, levels)[0]]
+                for j, q in enumerate(pooled) if j != i)
+            for i, p in enumerate(pooled)]
+
+
+def naive_score_z(t_patients, c_patients, levels):
+    """Pooled net-score z, or None when every net score is zero.
+
+    The statistic is the treatment-arm sum of `naive_net_scores`, with the
+    arm-relabeling variance n_t n_c sum(u^2) / (N (N - 1)).
+    """
+    u = naive_net_scores(t_patients, c_patients, levels)
+    n_t, n_c = len(t_patients), len(c_patients)
+    n = n_t + n_c
     sum_sq = sum(x * x for x in u)
     if sum_sq == 0:
         return None

@@ -48,6 +48,26 @@ def random_dataset(rng: np.random.Generator, max_per_arm: int = 10
     return records, h
 
 
+def random_lexicographic_dataset(rng: np.random.Generator, n_t: int, n_c: int
+                                 ) -> tuple[list[PatientRecord], Hierarchy]:
+    """Scalar margin-0 levels with heavily tied values (including -0.0 and 0.0)."""
+    h = Hierarchy(tuple(
+        OutcomeSpec(f"lvl{k}", KINDS[int(rng.integers(1, len(KINDS)))],
+                    Direction.HIGHER if rng.random() < 0.5 else Direction.LOWER)
+        for k in range(int(rng.integers(1, 4)))))
+
+    def value(kind):
+        if kind is OutcomeKind.CONTINUOUS:
+            return float(np.round(rng.normal(0.0, 1.0)))
+        if kind is OutcomeKind.COUNT:
+            return float(rng.integers(0, 3))
+        return float(rng.integers(0, 2))
+
+    records = [PatientRecord(f"{arm.value}{i}", arm, tuple(value(s.kind) for s in h.levels))
+               for arm, n in ((Arm.TREATMENT, n_t), (Arm.CONTROL, n_c)) for i in range(n)]
+    return records, h
+
+
 def to_oracle_form(records, h):
     """Convert records/hierarchy into the naive oracle's dict representation."""
     levels = [{"name": s.name, "kind": s.kind.value, "direction": s.direction.value,

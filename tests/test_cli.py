@@ -95,6 +95,10 @@ class TestCalculators:
     def test_power_yu_missing_args(self, capsys):
         assert main(["power", "yu", "--wr", "1.5"]) == 2
 
+    def test_power_yu_any_grid_flag_selects_tie_sensitivity(self, capsys):
+        assert main(["power", "yu", "--wr-grid", "1.5"]) == 2
+        assert "tie-sensitivity mode needs" in capsys.readouterr().err
+
     def test_samplesize_invalid_domain_exit_2(self, capsys):
         assert main(["samplesize", "precision", "--width", "-1"]) == 2
 

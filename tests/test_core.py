@@ -9,10 +9,12 @@ from wrlab.core import (Arm, Direction, Hierarchy, OutcomeKind, OutcomeSpec,
                         compare_pair, split_dataset, tally_matched, tally_unmatched,
                         win_odds, win_ratio, WinStats)
 from wrlab.errors import AllTiesError, InvalidInputError
-from wrlab.inference import bootstrap_verdicts, bootstrap_wr, score_test_verdicts
+from wrlab import core
+from wrlab.inference import (_replicate_tallies, bootstrap_verdicts, bootstrap_wr,
+                             score_test_verdicts)
 
-from naive_oracle import compare_hierarchically, naive_score_z, naive_tally
-from random_datasets import random_dataset, to_oracle_form
+from naive_oracle import compare_hierarchically, naive_net_scores, naive_score_z, naive_tally
+from random_datasets import random_dataset, random_lexicographic_dataset, to_oracle_form
 
 TTE_UP = OutcomeSpec("death", OutcomeKind.TIME_TO_EVENT, Direction.HIGHER)
 CONT_DOWN = OutcomeSpec("dose", OutcomeKind.CONTINUOUS, Direction.LOWER)
@@ -195,16 +197,68 @@ class TestInvariantsOnRandomData:
             # One shared comparison feeds the tally, the score test and the
             # bootstrap; each must match its independent reference.
             t_cols, c_cols = split_dataset(records, h)
-            verdict, shared = compare_arms(t_cols, c_cols, h)
+            cmp = compare_arms(t_cols, c_cols, h)
+            shared = cmp.stats
             assert (shared.n_win, shared.n_loss, shared.n_tie) == (
                 ref["wins"], ref["losses"], ref["ties"])
             assert dict(shared.decided_at_level) == ref["by_level"]
             # (None of these datasets is all ties, so both tests are defined.)
-            z = score_test_verdicts(verdict, t_cols, c_cols, h).statistic
+            z = score_test_verdicts(cmp).statistic
             assert z == pytest.approx(naive_score_z(t_pat, c_pat, levels), rel=1e-12, abs=1e-12)
-            boot = bootstrap_verdicts(verdict, shared, 50, 0.05, 11)
+            boot = bootstrap_verdicts(cmp, 50, 0.05, 11)
             assert boot == bootstrap_wr(records, h, b=50, alpha=0.05, seed=11)
             assert boot.estimate == (ref["wins"] / ref["losses"] if ref["losses"] else math.inf)
+
+    def test_rank_path_equals_matrix_path_and_oracle(self):
+        # Lexicographic hierarchies take the sort path; the cascade over every
+        # pair and the naive oracle must give the same tally, net scores and
+        # verdict matrix, on arms of size 1 and of odd sizes with heavy ties.
+        rng = np.random.default_rng(8)
+        sizes = (1, 3, 5, 8, 11, 15)
+        sign = {"win": 1, "loss": -1, "tie": 0}
+        for i in range(240):
+            n_t, n_c = sizes[i % 6], sizes[(i // 6) % 6]
+            records, h = random_lexicographic_dataset(rng, n_t, n_c)
+            t_cols, c_cols = split_dataset(records, h)
+            assert h.lexicographic
+            rank = compare_arms(t_cols, c_cols, h)
+            matrix = core._matrix_comparison(t_cols, c_cols, h)
+            assert rank.stats == matrix.stats
+            for got, want in zip(rank.net_scores(), matrix.net_scores()):
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert rank.cross().dtype == np.int8
+            assert np.array_equal(rank.cross(), matrix.cross())
+            t_pat, c_pat, levels = to_oracle_form(records, h)
+            ref = naive_tally(t_pat, c_pat, levels)
+            assert (rank.stats.n_win, rank.stats.n_loss, rank.stats.n_tie) == (
+                ref["wins"], ref["losses"], ref["ties"])
+            assert dict(rank.stats.decided_at_level) == ref["by_level"]
+            assert np.concatenate(rank.net_scores()).tolist() == naive_net_scores(
+                t_pat, c_pat, levels)
+            assert rank.cross().tolist() == [
+                [sign[compare_hierarchically(t, c, levels)[0]] for c in c_pat] for t in t_pat]
+            if i % 40 == 0:
+                # Index draws -> counts -> tally equals recounting the resampled
+                # patients; treatment indices are drawn first, then control.
+                wins, losses = _replicate_tallies(rank.cross(), 4, np.random.default_rng(i))
+                draws = np.random.default_rng(i)
+                idx_t, idx_c = draws.integers(0, n_t, (4, n_t)), draws.integers(0, n_c, (4, n_c))
+                for r in range(4):
+                    rep = naive_tally([t_pat[j] for j in idx_t[r]],
+                                      [c_pat[j] for j in idx_c[r]], levels)
+                    assert (wins[r], losses[r]) == (rep["wins"], rep["losses"])
+
+    def test_nan_value_or_time_is_rejected_on_both_paths(self):
+        nan_first = (np.array([np.nan, 1.0]), np.array([0.0, 2.0]))
+        margined = OutcomeSpec("dose", OutcomeKind.CONTINUOUS, Direction.LOWER, 0.5)
+        assert Hierarchy((CONT_DOWN,)).lexicographic
+        assert not Hierarchy((margined,)).lexicographic and not Hierarchy((TTE_UP,)).lexicographic
+        for spec in (CONT_DOWN, margined):
+            with pytest.raises(InvalidInputError, match="NaN"):
+                compare_arms([nan_first[0]], [nan_first[1]], Hierarchy((spec,)))
+        events = np.array([True, False])
+        with pytest.raises(InvalidInputError, match="NaN"):
+            compare_arms([(nan_first[1], events)], [(nan_first[0], events)], Hierarchy((TTE_UP,)))
 
     def test_antisymmetry_under_arm_swap(self):
         rng = np.random.default_rng(77)
