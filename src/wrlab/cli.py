@@ -42,16 +42,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _threads_default() -> int:
-    env = os.environ.get("WRLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
-
-
 def _parse_floats(raw: str) -> list[float]:
     try:
         return [float(part) for part in raw.split(",") if part.strip()]
@@ -153,59 +143,65 @@ def _cmd_ranksim(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# What each grid-config key must hold; the engine's grid builders hold the defaults.
+_COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+_NUMBERS = (lambda v: isinstance(v, list) and bool(v) and all(map(_is_number, v)),
+            "a non-empty list of numbers")
+_GRID_KEYS = {"iterations": _COUNT, "n_per_arm": _COUNT, "alpha": (_is_number, "a number"),
+              "p_control": (_is_number, "a number"), "deltas": _NUMBERS,
+              "p_treatments": _NUMBERS, "hazard_ratios": _NUMBERS,
+              "orders": (lambda v: isinstance(v, list) and bool(v), "a non-empty list")}
+
+
 def _grid_from_config(path: str) -> tuple[list[engine.Scenario], int]:
     with open(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DatasetFormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     if payload.get("schema") != "wrlab/grid-v1":
         raise DatasetFormatError(f"{path}: expected schema 'wrlab/grid-v1', "
                                  f"got {payload.get('schema')!r}")
-    iterations = payload.get("iterations")
-    if iterations is not None and (type(iterations) is not int or iterations < 1):
-        raise DatasetFormatError(f"{path}: 'iterations' must be an integer >= 1, "
-                                 f"got {iterations!r}")
+    for key, (valid, what) in _GRID_KEYS.items():
+        if key in payload and not valid(payload[key]):
+            raise DatasetFormatError(f"{path}: {key!r} must be {what}, got {payload[key]!r}")
+
+    def given(*keys: str) -> dict:
+        return {key: payload[key] for key in keys if key in payload}
+
+    dgm, iterations = payload.get("dgm"), 2500
     if "preset" in payload:
-        presets = engine.study_presets()
-        name = payload["preset"]
-        if name not in presets:
-            raise DatasetFormatError(f"{path}: unknown preset {name!r}")
-        preset = presets[name]
-        return list(preset.scenarios), (preset.default_iterations if iterations is None
-                                        else iterations)
-    dgm = payload.get("dgm")
-    alpha = float(payload.get("alpha", 0.05))
-    if dgm == "binary-continuous":
-        scenarios = list(engine.binary_continuous_grid(
-            deltas=payload.get("deltas", (0.1, 0.25, 0.5, 0.75, 1.0)),
-            p_treatments=payload.get("p_treatments", (0.35, 0.4, 0.5, 0.6, 0.7)),
-            orders=payload.get("orders", ("binary-first", "continuous-first")),
-            n_per_arm=int(payload.get("n_per_arm", 20)),
-            p_control=float(payload.get("p_control", 0.3)), alpha=alpha))
+        scenarios, iterations = _preset(payload["preset"])
+    elif dgm == "binary-continuous":
+        scenarios = list(engine.binary_continuous_grid(**given(
+            "deltas", "p_treatments", "orders", "n_per_arm", "p_control", "alpha")))
     elif dgm == "tte-composite":
-        scenarios = list(engine.tte_grid(
-            hazard_ratios=payload.get("hazard_ratios", (0.35, 0.5, 0.65, 0.8, 0.95)),
-            n_per_arm=int(payload.get("n_per_arm", 105)), alpha=alpha))
+        scenarios = list(engine.tte_grid(**given("hazard_ratios", "n_per_arm", "alpha")))
     elif dgm == "iphak":
-        scenarios = [engine.iphak_scenario(alpha=alpha)]
+        scenarios = [engine.iphak_scenario(**given("alpha"))]
     else:
         raise DatasetFormatError(f"{path}: unknown dgm {dgm!r}")
-    return scenarios, 2500 if iterations is None else iterations
+    return scenarios, payload.get("iterations", iterations)
+
+
+def _preset(name: object) -> tuple[list[engine.Scenario], int]:
+    presets = engine.study_presets()
+    if not isinstance(name, str) or name not in presets:
+        raise InvalidInputError(f"unknown preset {name!r}; choose from {sorted(presets)}")
+    return list(presets[name].scenarios), presets[name].default_iterations
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if bool(args.preset) == bool(args.config):
         raise InvalidInputError("simulate needs exactly one of --preset or --config")
-    if args.preset:
-        presets = engine.study_presets()
-        if args.preset not in presets:
-            raise InvalidInputError(f"unknown preset {args.preset!r}; "
-                                    f"choose from {sorted(presets)}")
-        preset = presets[args.preset]
-        scenarios, iterations = list(preset.scenarios), preset.default_iterations
-    else:
-        scenarios, iterations = _grid_from_config(args.config)
+    scenarios, iterations = (_preset(args.preset) if args.preset
+                             else _grid_from_config(args.config))
     if args.iterations is not None:
         iterations = args.iterations
     results = engine.run_grid(scenarios, iterations, args.seed, threads=args.threads)
@@ -303,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", help="iphak | binary-continuous | ttfe-weibull")
     p.add_argument("--config", help="grid config JSON (schema wrlab/grid-v1)")
     p.add_argument("--iterations", type=int, help="override iteration count")
-    p.add_argument("--threads", type=int, default=_threads_default(),
+    p.add_argument("--threads", type=int, default=os.environ.get("WRLAB_THREADS") or "1",
                    help="worker processes (never changes numerical output); "
                         "env WRLAB_THREADS is the fallback")
     _add_common(p, seed=True, fmt=True)

@@ -223,13 +223,12 @@ def _win_loss_masks(spec: OutcomeSpec, a_vals, b_vals) -> tuple[np.ndarray, np.n
     return diff < -m, diff > m
 
 
-def _broadcast_level(col: LevelColumn, axis: int):
-    """Reshape a level column for outer (cross-pair) comparison."""
-    def shape(arr: np.ndarray) -> np.ndarray:
-        return arr[:, None] if axis == 0 else arr[None, :]
-    if isinstance(col, tuple):
-        return shape(col[0]), shape(col[1])
-    return shape(col)
+def _size(col: LevelColumn) -> int:
+    return len(col[0] if isinstance(col, tuple) else col)
+
+
+def _take(col: LevelColumn, index) -> LevelColumn:
+    return (col[0][index], col[1][index]) if isinstance(col, tuple) else col[index]
 
 
 def _cascade(h: Hierarchy, t_levels: Iterable, c_levels: Iterable,
@@ -256,35 +255,33 @@ def _cascade(h: Hierarchy, t_levels: Iterable, c_levels: Iterable,
     return verdict, level
 
 
-def pairwise_verdicts(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
-                      h: Hierarchy) -> tuple[np.ndarray, np.ndarray]:
-    """Verdict and deciding-level matrices over all treatment x control pairs.
+def pairwise_verdicts(pooled: Sequence[LevelColumn], h: Hierarchy, rows: range,
+                      cols: range) -> tuple[np.ndarray, np.ndarray]:
+    """Verdict and deciding-level block of pooled patients `rows`, each taken as the
+    treatment patient, against pooled patients `cols`.
 
     Returns (verdict, level): verdict is int8 with +1 win / -1 loss / 0 tie,
     level is the 0-based deciding level, -1 for overall ties.
     """
-    n_t = (t_cols[0][0] if isinstance(t_cols[0], tuple) else t_cols[0]).shape[0]
-    n_c = (c_cols[0][0] if isinstance(c_cols[0], tuple) else c_cols[0]).shape[0]
-    return _cascade(h, (_broadcast_level(col, 0) for col in t_cols),
-                    (_broadcast_level(col, 1) for col in c_cols), (n_t, n_c))
+    at_row, at_col = np.s_[rows.start:rows.stop, None], np.s_[None, cols.start:cols.stop]
+    return _cascade(h, (_take(col, at_row) for col in pooled),
+                    (_take(col, at_col) for col in pooled), (len(rows), len(cols)))
 
 
-def winstats_from_verdicts(verdict: np.ndarray, level: np.ndarray, pairing: str,
-                           n_treatment: int, n_control: int, n_levels: int) -> WinStats:
-    n_win = int((verdict == 1).sum())
-    n_loss = int((verdict == -1).sum())
-    n_pairs = int(verdict.size)
-    decided = {k: int((level == k).sum()) for k in range(n_levels) if (level == k).any()}
-    return WinStats(n_win=n_win, n_loss=n_loss, n_tie=n_pairs - n_win - n_loss,
-                    n_pairs=n_pairs, decided_at_level=decided, pairing=pairing,
-                    n_treatment=n_treatment, n_control=n_control)
+def _tally(net: int, decided: Sequence[int], n_pairs: int, pairing: str,
+           n_treatment: int, n_control: int) -> WinStats:
+    """The tally from wins - losses and the number of pairs decided at each level."""
+    total = sum(decided)
+    return WinStats(n_win=(total + net) // 2, n_loss=(total - net) // 2, n_tie=n_pairs - total,
+                    n_pairs=n_pairs, decided_at_level={k: d for k, d in enumerate(decided) if d},
+                    pairing=pairing, n_treatment=n_treatment, n_control=n_control)
 
 
 @dataclass(frozen=True)
 class ArmComparison:
     """All cross-arm comparisons of one unmatched dataset: the tally `stats`,
     `net_scores()`, each patient's wins minus losses against the pooled sample
-    as int64 (u_t, u_c), and `cross()`, the N_T x N_C int8 verdict matrix."""
+    as int64 (u_t, u_c), and `cross()`, the N_T x N_C int8 verdict matrix, built per call."""
 
     stats: WinStats
     net_scores: Callable[[], tuple[np.ndarray, np.ndarray]]
@@ -317,40 +314,48 @@ def _rank_comparison(keys: list[np.ndarray], n_t: int) -> ArmComparison:
     tied = [n_t * n_c] + [int(np.bincount(g[:n_t], minlength=g.size)
                               @ np.bincount(g[n_t:], minlength=g.size)) for g in ids]
     # Within-arm scores cancel, so the treatment scores sum to wins - losses.
-    net, decided = int(u[:n_t].sum()), n_t * n_c - tied[-1]
-    stats = WinStats(n_win=(decided + net) // 2, n_loss=(decided - net) // 2, n_tie=tied[-1],
-                     n_pairs=n_t * n_c, pairing="unmatched", n_treatment=n_t, n_control=n_c,
-                     decided_at_level={k: tied[k] - tied[k + 1] for k in range(len(keys))
-                                       if tied[k] > tied[k + 1]})
+    stats = _tally(int(u[:n_t].sum()), [a - b for a, b in zip(tied, tied[1:])], n_t * n_c,
+                   "unmatched", n_t, n_c)
     return ArmComparison(stats, lambda: (u[:n_t], u[n_t:]),
                          lambda: np.sign(gid[:n_t, None] - gid[None, n_t:]).astype(np.int8))
 
 
-def _matrix_comparison(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
-                       h: Hierarchy) -> ArmComparison:
-    """Censored or margined hierarchies: the level cascade over every pair."""
-    verdict, level = pairwise_verdicts(t_cols, c_cols, h)
-    def net_scores() -> tuple[np.ndarray, np.ndarray]:
-        return (verdict.sum(axis=1, dtype=np.int64)
-                + pairwise_verdicts(t_cols, t_cols, h)[0].sum(axis=1, dtype=np.int64),
-                -verdict.sum(axis=0, dtype=np.int64)
-                + pairwise_verdicts(c_cols, c_cols, h)[0].sum(axis=1, dtype=np.int64))
-    return ArmComparison(winstats_from_verdicts(verdict, level, "unmatched", *verdict.shape,
-                                                len(h)), net_scores, lambda: verdict)
+_BLOCK_PAIRS = 1 << 18  # pairs per block of the pooled cascade: bounds its working memory
+
+
+def _matrix_comparison(pooled: Sequence[LevelColumn], n_t: int, h: Hierarchy) -> ArmComparison:
+    """Censored or margined hierarchies: the level cascade over the pooled pairs, a block
+    of rows at a time. v(j, i) = -v(i, j) exactly, so a block meets only the columns from
+    its first row on, and its column sums past the block count against those columns. No
+    block straddles the arms; the treatment blocks' control columns give the level counts."""
+    n = _size(pooled[0])
+    n_c, step = n - n_t, max(1, _BLOCK_PAIRS // n)
+    u, counts = np.zeros(n, dtype=np.int64), np.zeros(len(h) + 1, dtype=np.int64)
+    for start in [*range(0, n_t, step), *range(n_t, n, step)]:
+        stop = min(start + step, n_t if start < n_t else n)
+        verdict, level = pairwise_verdicts(pooled, h, range(start, stop), range(start, n))
+        u[start:stop] += verdict.sum(axis=1, dtype=np.int64)
+        u[stop:] -= verdict[:, stop - start:].sum(axis=0, dtype=np.int64)
+        if start < n_t:
+            counts += np.bincount(level[:, n_t - start:].ravel() + 1, minlength=len(h) + 1)
+    # Within-arm scores cancel, so the treatment scores sum to wins - losses.
+    stats = _tally(int(u[:n_t].sum()), counts[1:].tolist(), n_t * n_c, "unmatched", n_t, n_c)
+    return ArmComparison(stats, lambda: (u[:n_t], u[n_t:]),
+                         lambda: pairwise_verdicts(pooled, h, range(n_t), range(n_t, n))[0])
 
 
 def compare_arms(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
                  h: Hierarchy) -> ArmComparison:
     """Compare every treatment patient with every control patient, once."""
-    pooled = [np.concatenate([t[0], c[0]] if isinstance(t, tuple) else [t, c])
-              for t, c in zip(t_cols, c_cols)]
-    for spec, values in zip(h.levels, pooled):
-        if np.isnan(values).any():
+    pooled = [tuple(map(np.concatenate, zip(t, c))) if isinstance(t, tuple)
+              else np.concatenate([t, c]) for t, c in zip(t_cols, c_cols)]
+    for spec, col in zip(h.levels, pooled):
+        if np.isnan(col[0] if isinstance(col, tuple) else col).any():
             raise InvalidInputError(f"level '{spec.name}': NaN value or time")
     if h.lexicographic:
         return _rank_comparison([v if s.direction is Direction.HIGHER else -v
-                                 for s, v in zip(h.levels, pooled)], len(t_cols[0]))
-    return _matrix_comparison(t_cols, c_cols, h)
+                                 for s, v in zip(h.levels, pooled)], _size(t_cols[0]))
+    return _matrix_comparison(pooled, _size(t_cols[0]), h)
 
 
 def tally_columns(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
@@ -373,7 +378,8 @@ def tally_matched(pairs: Sequence[tuple[PatientRecord, PatientRecord]],
     c_cols = arm_columns([p[1] for p in pairs], h)
     n = len(pairs)
     verdict, level = _cascade(h, t_cols, c_cols, (n,))
-    return winstats_from_verdicts(verdict, level, "matched", n, n, len(h))
+    return _tally(int(verdict.sum(dtype=np.int64)),
+                  np.bincount(level + 1, minlength=len(h) + 1)[1:].tolist(), n, "matched", n, n)
 
 
 def win_ratio(s: WinStats) -> float:

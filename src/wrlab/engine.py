@@ -322,6 +322,8 @@ def binary_continuous_grid(deltas: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 1.0)
                            alpha: float = 0.05) -> tuple[Scenario, ...]:
     scenarios = []
     for order in orders:
+        if order not in ("binary-first", "continuous-first"):
+            raise InvalidInputError(f"orders: unknown order {order!r}")
         for delta in deltas:
             for p_t in p_treatments:
                 dgm = BinaryContinuousDgm(p_treatment=p_t, delta=delta,
@@ -373,19 +375,10 @@ _RESULT_COLUMNS = ("scenario", "method", "power", "mcse", "n_iterations", "n_deg
 
 def results_to_rows(results: Sequence[PowerResult]) -> tuple[list[str], list[list[object]]]:
     """Long-format header and rows: scenario, factors..., method, power, ..."""
-    factor_keys: list[str] = []
-    for r in results:
-        for k in r.factors:
-            if k not in factor_keys:
-                factor_keys.append(k)
+    factor_keys = list(dict.fromkeys(k for r in results for k in r.factors))
     header = ["scenario"] + factor_keys + list(_RESULT_COLUMNS[1:])
-    rows = []
-    for r in results:
-        row: list[object] = [r.scenario]
-        row += [r.factors.get(k, "") for k in factor_keys]
-        row += [r.method, r.power, r.mcse, r.n_iterations, r.n_degenerate]
-        rows.append(row)
-    return header, rows
+    return header, [[r.scenario, *(r.factors.get(k, "") for k in factor_keys), r.method,
+                     r.power, r.mcse, r.n_iterations, r.n_degenerate] for r in results]
 
 
 def results_to_csv(results: Sequence[PowerResult]) -> str:

@@ -118,6 +118,8 @@ def hierarchy_to_dict(h: Hierarchy) -> dict:
 
 
 def hierarchy_from_dict(payload: dict, source: str = "<config>") -> Hierarchy:
+    if not isinstance(payload, dict):
+        raise DatasetFormatError(f"{source}: expected a JSON object")
     if payload.get("schema") != HIERARCHY_SCHEMA:
         raise DatasetFormatError(
             f"{source}: expected schema {HIERARCHY_SCHEMA!r}, got {payload.get('schema')!r}")
@@ -126,6 +128,8 @@ def hierarchy_from_dict(payload: dict, source: str = "<config>") -> Hierarchy:
         raise DatasetFormatError(f"{source}: 'levels' must be a non-empty list")
     levels = []
     for i, item in enumerate(levels_raw):
+        if not isinstance(item, dict):
+            raise DatasetFormatError(f"{source}: level {i}: expected an object")
         try:
             levels.append(OutcomeSpec(name=item["name"], kind=OutcomeKind(item["kind"]),
                                       direction=Direction(item["direction"]),

@@ -3,12 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from wrlab.cli import main
+from wrlab.cli import build_parser, main
 
 DATA_DIR = Path(__file__).parent / "data"
 SAMPLE = str(DATA_DIR / "sample_trial.csv")
 HIERARCHY = str(DATA_DIR / "trial_hierarchy.json")
 GOLDEN = DATA_DIR / "golden_analyze.txt"
+CENSORED = str(DATA_DIR / "censored_trial.csv")
+CENSORED_HIERARCHY = str(DATA_DIR / "censored_hierarchy.json")
 
 
 class TestAnalyze:
@@ -31,6 +33,14 @@ class TestAnalyze:
         assert code == 0
         assert out.read_bytes() == GOLDEN.read_bytes()
 
+    def test_golden_report_on_cascade_path_byte_identical(self, tmp_path):
+        # A censored death level over a margined dose level takes the blocked
+        # cascade rather than the sort; the report, bootstrap included, is pinned.
+        out = tmp_path / "report.txt"
+        assert main(["analyze", "--data", CENSORED, "--hierarchy", CENSORED_HIERARCHY,
+                     "--bootstrap", "200", "--seed", "7", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA_DIR / "golden_analyze_censored.txt").read_bytes()
+
     def test_golden_counts_match_naive_oracle(self):
         from naive_oracle import naive_tally
         from random_datasets import to_oracle_form
@@ -41,6 +51,12 @@ class TestAnalyze:
         ref = naive_tally(t_p, c_p, levels)
         text = GOLDEN.read_text()
         assert f"wins: {ref['wins']}  losses: {ref['losses']}  ties: {ref['ties']}" in text
+
+    def test_hierarchy_level_must_be_object(self, tmp_path, capsys):
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps({"schema": "wrlab/hierarchy-v1", "levels": [1]}))
+        assert main(["analyze", "--data", SAMPLE, "--hierarchy", str(h)]) == 2
+        assert f"{h}: level 0: expected an object" in capsys.readouterr().err
 
     def test_malformed_event_value_exits_2(self, tmp_path, capsys):
         h = tmp_path / "h.json"
@@ -182,6 +198,26 @@ class TestSimulateCommand:
                      "--format", fmt, "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA_DIR / f"golden_{preset}.{fmt}").read_bytes()
 
+    @pytest.mark.parametrize("payload, named", [
+        (["schema", "wrlab/grid-v1"], "JSON object"),
+        ({"dgm": "binary-continuous", "deltas": ["x"]}, "'deltas'"),
+        ({"dgm": "binary-continuous", "p_treatments": [True]}, "'p_treatments'"),
+        ({"dgm": "binary-continuous", "orders": ["sideways"]}, "orders"),
+        ({"dgm": "tte-composite", "hazard_ratios": 0.5}, "'hazard_ratios'"),
+        ({"dgm": "tte-composite", "n_per_arm": 2.5}, "'n_per_arm'"),
+        ({"dgm": "tte-composite", "n_per_arm": "x"}, "'n_per_arm'"),
+        ({"dgm": "iphak", "alpha": "x"}, "'alpha'"),
+    ])
+    def test_malformed_config_value_exit_2(self, tmp_path, capsys, payload, named):
+        if isinstance(payload, dict):
+            payload = {"schema": "wrlab/grid-v1", "iterations": 2, **payload}
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_schema_exit_2(self, tmp_path, capsys):
         config = tmp_path / "grid.json"
         config.write_text(json.dumps({"schema": "other"}))
@@ -208,11 +244,14 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_threads_env_fallback(monkeypatch):
-    from wrlab.cli import _threads_default
+def test_threads_env_fallback(monkeypatch, capsys):
+    argv = ["simulate", "--preset", "iphak"]
     monkeypatch.delenv("WRLAB_THREADS", raising=False)
-    assert _threads_default() == 1
+    assert build_parser().parse_args(argv).threads == 1
     monkeypatch.setenv("WRLAB_THREADS", "4")
-    assert _threads_default() == 4
+    assert build_parser().parse_args(argv).threads == 4
     monkeypatch.setenv("WRLAB_THREADS", "junk")
-    assert _threads_default() == 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --threads: invalid int value: 'junk'" in capsys.readouterr().err

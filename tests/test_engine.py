@@ -48,6 +48,10 @@ class TestPresets:
         assert all(s.dgm.n_per_arm == 20 for s in grid)
         assert all(s.dgm.p_control == 0.3 for s in grid)
 
+    def test_unknown_order_rejected(self):
+        with pytest.raises(InvalidInputError, match="orders"):
+            binary_continuous_grid(orders=("binary-first", "sideways"))
+
     def test_tte_grid_parameters(self):
         grid = tte_grid()
         assert len(grid) == 25

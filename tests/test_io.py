@@ -110,6 +110,12 @@ class TestHierarchyConfig:
                                  "levels": [{"name": "x", "kind": "mystery",
                                              "direction": "higher-favorable"}]})
 
+    def test_non_object_payload_or_level_rejected(self):
+        with pytest.raises(DatasetFormatError, match="expected a JSON object"):
+            hierarchy_from_dict([], source="h.json")
+        with pytest.raises(DatasetFormatError, match="h.json: level 0: expected an object"):
+            hierarchy_from_dict({"schema": "wrlab/hierarchy-v1", "levels": [1]}, source="h.json")
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "h.json"
         path.write_text("{not json")
