@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import design, engine, io, ranksim
-from .core import compare_arms, split_dataset, win_odds, win_ratio
+from .core import compare_arms, win_odds, win_ratio
 from .datagen import exponential_scale_from_dropout, weibull_scale_from_survival
 from .errors import DatasetFormatError, InvalidInputError, WrlabError
 from .inference import (bootstrap_verdicts, infer_phi, phi_win, score_test_verdicts,
@@ -51,8 +51,7 @@ def _parse_floats(raw: str) -> list[float]:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     hierarchy = io.read_hierarchy(args.hierarchy)
-    cmp = compare_arms(*split_dataset(io.read_dataset(args.data, hierarchy), hierarchy),
-                       hierarchy)
+    cmp = compare_arms(*io.read_dataset(args.data, hierarchy), hierarchy)
     stats = cmp.stats
     lines = [f"patients: T={stats.n_treatment} C={stats.n_control}",
              f"pairs (unmatched): {stats.n_pairs}",
@@ -151,10 +150,18 @@ def _is_number(value) -> bool:
 _COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
 _NUMBERS = (lambda v: isinstance(v, list) and bool(v) and all(map(_is_number, v)),
             "a non-empty list of numbers")
-_GRID_KEYS = {"iterations": _COUNT, "n_per_arm": _COUNT, "alpha": (_is_number, "a number"),
-              "p_control": (_is_number, "a number"), "deltas": _NUMBERS,
-              "p_treatments": _NUMBERS, "hazard_ratios": _NUMBERS,
+_GRID_KEYS = {"iterations": _COUNT, "n_per_arm": (lambda v: type(v) is int and v >= 2,
+                                                  "an integer >= 2"),
+              "alpha": (_is_number, "a number"), "p_control": (_is_number, "a number"),
+              "deltas": _NUMBERS, "p_treatments": _NUMBERS, "hazard_ratios": _NUMBERS,
               "orders": (lambda v: isinstance(v, list) and bool(v), "a non-empty list")}
+# Each dgm's grid builder and the keys it reads.
+_GRIDS = {
+    "binary-continuous": (engine.binary_continuous_grid, ("deltas", "p_treatments", "orders",
+                                                          "n_per_arm", "p_control", "alpha")),
+    "tte-composite": (engine.tte_grid, ("hazard_ratios", "n_per_arm", "alpha")),
+    "iphak": (lambda **kw: (engine.iphak_scenario(**kw),), ("alpha",)),
+}
 
 
 def _grid_from_config(path: str) -> tuple[list[engine.Scenario], int]:
@@ -168,25 +175,25 @@ def _grid_from_config(path: str) -> tuple[list[engine.Scenario], int]:
     if payload.get("schema") != "wrlab/grid-v1":
         raise DatasetFormatError(f"{path}: expected schema 'wrlab/grid-v1', "
                                  f"got {payload.get('schema')!r}")
+    dgm = payload.get("dgm")
+    if "preset" in payload:
+        takes = {"schema", "iterations", "preset"}
+    elif dgm in _GRIDS:
+        takes = {"schema", "iterations", "dgm", *_GRIDS[dgm][1]}
+    else:
+        raise DatasetFormatError(f"{path}: unknown dgm {dgm!r}")
+    unread = sorted(payload.keys() - takes)
+    if unread:
+        raise DatasetFormatError(f"{path}: unknown key {unread[0]!r}; this config takes "
+                                 + ", ".join(sorted(takes)))
     for key, (valid, what) in _GRID_KEYS.items():
         if key in payload and not valid(payload[key]):
             raise DatasetFormatError(f"{path}: {key!r} must be {what}, got {payload[key]!r}")
-
-    def given(*keys: str) -> dict:
-        return {key: payload[key] for key in keys if key in payload}
-
-    dgm, iterations = payload.get("dgm"), 2500
     if "preset" in payload:
         scenarios, iterations = _preset(payload["preset"])
-    elif dgm == "binary-continuous":
-        scenarios = list(engine.binary_continuous_grid(**given(
-            "deltas", "p_treatments", "orders", "n_per_arm", "p_control", "alpha")))
-    elif dgm == "tte-composite":
-        scenarios = list(engine.tte_grid(**given("hazard_ratios", "n_per_arm", "alpha")))
-    elif dgm == "iphak":
-        scenarios = [engine.iphak_scenario(**given("alpha"))]
     else:
-        raise DatasetFormatError(f"{path}: unknown dgm {dgm!r}")
+        build, keys = _GRIDS[dgm]
+        scenarios, iterations = list(build(**{k: payload[k] for k in keys if k in payload})), 2500
     return scenarios, payload.get("iterations", iterations)
 
 

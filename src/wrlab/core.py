@@ -57,8 +57,9 @@ class OutcomeSpec:
     margin: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise InvalidInputError("OutcomeSpec: name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise InvalidInputError(f"OutcomeSpec: name must be a non-empty string, "
+                                    f"got {self.name!r}")
         if not math.isfinite(self.margin) or self.margin < 0.0:
             raise InvalidInputError(f"OutcomeSpec '{self.name}': margin must be >= 0")
         if self.kind is OutcomeKind.BINARY and self.margin != 0.0:
@@ -140,24 +141,28 @@ class WinStats:
 LevelColumn = Union[np.ndarray, tuple[np.ndarray, np.ndarray]]
 
 
-def _validate_scalar(value: float, spec: OutcomeSpec) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise InvalidInputError(f"level '{spec.name}': non-finite value {value!r}")
-    if spec.kind is OutcomeKind.BINARY and v not in (0.0, 1.0):
-        raise InvalidInputError(f"level '{spec.name}': binary value must be 0 or 1, got {value!r}")
-    if spec.kind is OutcomeKind.COUNT and (v < 0 or v != int(v)):
-        raise InvalidInputError(f"level '{spec.name}': count must be a nonnegative integer, got {value!r}")
-    return v
-
-
-def _validate_tte(value: LevelValue, spec: OutcomeSpec) -> tuple[float, bool]:
-    if not isinstance(value, tuple) or len(value) != 2:
-        raise InvalidInputError(f"level '{spec.name}': time-to-event needs a (time, event) pair")
-    t = float(value[0])
-    if not math.isfinite(t) or t < 0.0:
-        raise InvalidInputError(f"level '{spec.name}': time must be finite and >= 0, got {value[0]!r}")
-    return t, bool(value[1])
+def _level_column(spec: OutcomeSpec, parts: Sequence[Sequence]
+                  ) -> tuple[LevelColumn, tuple[int, int, str] | None]:
+    """The level's value rule: one level's column from its values (times and event
+    indicators for time-to-event), and the first value that breaks the rule, as
+    (position, part, reason), or None."""
+    arrays = [np.asarray(part, dtype=np.float64) for part in parts]
+    x = arrays[0]
+    if spec.kind is OutcomeKind.TIME_TO_EVENT:
+        rules = [(np.isfinite(x) & (x >= 0), "time must be finite and >= 0"),
+                 ((arrays[1] == 0) | (arrays[1] == 1), "event indicator must be 0 or 1")]
+    elif spec.kind is OutcomeKind.BINARY:
+        rules = [((x == 0) | (x == 1), "binary value must be 0 or 1")]
+    elif spec.kind is OutcomeKind.COUNT:
+        rules = [(np.isfinite(x) & (x >= 0) & (x == np.floor(x)),
+                  "count must be a nonnegative integer")]
+    else:
+        rules = [(np.isfinite(x), "value must be finite")]
+    faults = [(i, part, f"{reason}, got {float(arrays[part][i])!r}")
+              for part, (ok, reason) in enumerate(rules) if not ok.all()
+              for i in [int(ok.argmin())]]
+    col = (x, arrays[1] == 1) if spec.kind is OutcomeKind.TIME_TO_EVENT else x
+    return col, min(faults, default=None)
 
 
 _VERDICTS = {1: Verdict.WIN, -1: Verdict.LOSS, 0: Verdict.TIE}
@@ -165,9 +170,8 @@ _VERDICTS = {1: Verdict.WIN, -1: Verdict.LOSS, 0: Verdict.TIE}
 
 def compare_at_level(a: LevelValue, b: LevelValue, spec: OutcomeSpec) -> Verdict:
     """Compare treatment value `a` against control value `b` at one level."""
-    validate = _validate_tte if spec.kind is OutcomeKind.TIME_TO_EVENT else _validate_scalar
-    win, loss = _win_loss_masks(spec, validate(a, spec), validate(b, spec))
-    return _VERDICTS[int(win) - int(loss)]
+    return compare_pair(PatientRecord("a", Arm.TREATMENT, (a,)),
+                        PatientRecord("b", Arm.CONTROL, (b,)), Hierarchy((spec,))).verdict
 
 
 def compare_pair(a: PatientRecord, b: PatientRecord, h: Hierarchy) -> ComparisonResult:
@@ -185,14 +189,17 @@ def arm_columns(records: Sequence[PatientRecord], h: Hierarchy) -> list[LevelCol
                                     f"{len(h)}-level hierarchy")
     cols: list[LevelColumn] = []
     for k, spec in enumerate(h.levels):
+        parts = [[r.values[k] for r in records]]
         if spec.kind is OutcomeKind.TIME_TO_EVENT:
-            pairs = [_validate_tte(r.values[k], spec) for r in records]
-            times = np.array([p[0] for p in pairs], dtype=np.float64)
-            events = np.array([p[1] for p in pairs], dtype=bool)
-            cols.append((times, events))
-        else:
-            cols.append(np.array([_validate_scalar(r.values[k], spec) for r in records],
-                                 dtype=np.float64))
+            if not all(isinstance(v, tuple) and len(v) == 2 for v in parts[0]):
+                raise InvalidInputError(f"level '{spec.name}': time-to-event needs a "
+                                        "(time, event) pair")
+            parts = [[v[part] for v in parts[0]] for part in (0, 1)]
+        col, fault = _level_column(spec, parts)
+        if fault is not None:
+            raise InvalidInputError(f"patient {records[fault[0]].id!r}: level '{spec.name}': "
+                                    f"{fault[2]}")
+        cols.append(col)
     return cols
 
 
@@ -358,15 +365,9 @@ def compare_arms(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
     return _matrix_comparison(pooled, _size(t_cols[0]), h)
 
 
-def tally_columns(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
-                  h: Hierarchy) -> WinStats:
-    """Unmatched tally over all pairs, columnar input."""
-    return compare_arms(t_cols, c_cols, h).stats
-
-
 def tally_unmatched(dataset: Iterable[PatientRecord], h: Hierarchy) -> WinStats:
     """Tally wins/losses/ties over all N_T x N_C cross-arm pairs."""
-    return tally_columns(*split_dataset(dataset, h), h)
+    return compare_arms(*split_dataset(dataset, h), h).stats
 
 
 def tally_matched(pairs: Sequence[tuple[PatientRecord, PatientRecord]],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -92,6 +93,15 @@ class BinaryContinuousDgm:
     n_per_arm: int = 20
     binary_first: bool = True
 
+    def __post_init__(self) -> None:
+        for name in ("p_treatment", "p_control"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise InvalidInputError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if not self.sd > 0.0:
+            raise InvalidInputError(f"sd must be > 0, got {self.sd}")
+        if self.n_per_arm < 1:
+            raise InvalidInputError(f"n_per_arm must be >= 1, got {self.n_per_arm}")
+
     def hierarchy(self) -> Hierarchy:
         binary = OutcomeSpec("binary", OutcomeKind.BINARY, Direction.HIGHER)
         cont = OutcomeSpec("continuous", OutcomeKind.CONTINUOUS, Direction.HIGHER)
@@ -123,22 +133,21 @@ class TteCompositeDgm:
     follow_up: float = 730.0
     round_to_days: bool = True
     n_per_arm: int = 105
+    plans: tuple[TtePlan, TtePlan] = field(init=False)
 
-    def plans(self) -> tuple[TtePlan, TtePlan]:
-        return (TtePlan(self.first, self.hr_first, self.censoring_scale,
-                        self.follow_up, self.round_to_days),
-                TtePlan(self.second, self.hr_second, self.censoring_scale,
-                        self.follow_up, self.round_to_days))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "plans", tuple(
+            TtePlan(event, hr, self.censoring_scale, self.follow_up, self.round_to_days)
+            for event, hr in ((self.first, self.hr_first), (self.second, self.hr_second))))
 
     def hierarchy(self) -> Hierarchy:
         return Hierarchy((OutcomeSpec("death", OutcomeKind.TIME_TO_EVENT, Direction.HIGHER),
                           OutcomeSpec("hosp", OutcomeKind.TIME_TO_EVENT, Direction.HIGHER)))
 
     def generate(self, rng_t: np.random.Generator, rng_c: np.random.Generator) -> GeneratedData:
-        plans = self.plans()
-        t_levels, t_ttfe = datagen.gen_tte_composite_arm(plans, Arm.TREATMENT,
+        t_levels, t_ttfe = datagen.gen_tte_composite_arm(self.plans, Arm.TREATMENT,
                                                          self.n_per_arm, rng_t)
-        c_levels, c_ttfe = datagen.gen_tte_composite_arm(plans, Arm.CONTROL,
+        c_levels, c_ttfe = datagen.gen_tte_composite_arm(self.plans, Arm.CONTROL,
                                                          self.n_per_arm, rng_c)
         times = np.concatenate([t_ttfe[0], c_ttfe[0]])
         events = np.concatenate([t_ttfe[1], c_ttfe[1]])
@@ -290,9 +299,11 @@ def run_scenario(scenario: Scenario, n_iterations: int, master_seed: int,
     return results
 
 
-def _run_cell(args: tuple[Scenario, int, int, int]) -> list[PowerResult]:
-    scenario, n_iterations, master_seed, cell = args
-    return run_scenario(scenario, n_iterations, master_seed, cell=cell)
+def _workers(threads: int, cells: int) -> int:
+    """Worker processes for a grid: no more than its cells or this machine's CPUs."""
+    if threads < 1:
+        raise InvalidInputError(f"threads must be >= 1, got {threads}")
+    return min(threads, cells, os.cpu_count() or 1)
 
 
 def run_grid(scenarios: Sequence[Scenario], n_iterations: int, master_seed: int,
@@ -300,12 +311,14 @@ def run_grid(scenarios: Sequence[Scenario], n_iterations: int, master_seed: int,
     """Run every scenario cell; output is independent of the worker count."""
     if not scenarios:
         raise InvalidInputError("run_grid: empty scenario grid")
-    jobs = [(s, n_iterations, master_seed, i) for i, s in enumerate(scenarios)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            per_cell = list(pool.map(_run_cell, jobs))
+    cells = len(scenarios)
+    args = (scenarios, [n_iterations] * cells, [master_seed] * cells, range(cells))
+    workers = _workers(threads, cells)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_cell = list(pool.map(run_scenario, *args))
     else:
-        per_cell = [_run_cell(j) for j in jobs]
+        per_cell = list(map(run_scenario, *args))
     return [r for cell in per_cell for r in cell]
 
 

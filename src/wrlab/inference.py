@@ -211,17 +211,10 @@ def bootstrap_verdicts(cmp: ArmComparison, b: int, alpha: float,
                            flags=flags, n_degenerate=b - n_valid)
 
 
-def bootstrap_columns(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
-                      h: Hierarchy, b: int, alpha: float,
-                      rng: np.random.Generator) -> InferenceResult:
-    """Bootstrap WR inference on columnar arm data."""
-    return bootstrap_verdicts(compare_arms(t_cols, c_cols, h), b, alpha, rng)
-
-
 def bootstrap_wr(dataset: Iterable[PatientRecord], h: Hierarchy, b: int = 1000,
                  alpha: float = 0.05, seed: int | None = None) -> InferenceResult:
     """Bootstrap WR inference for a record-level dataset (unmatched pairing)."""
-    return bootstrap_columns(*split_dataset(dataset, h), h, b, alpha, np.random.default_rng(seed))
+    return bootstrap_verdicts(compare_arms(*split_dataset(dataset, h), h), b, alpha, seed)
 
 
 def score_test_verdicts(cmp: ArmComparison) -> TestResult:

@@ -8,14 +8,18 @@ Unparsable cells are hard errors carrying line and column diagnostics.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import operator
 from pathlib import Path
 from typing import Iterable
 
-from .core import (Arm, Direction, Hierarchy, LevelValue, OutcomeKind,
-                   OutcomeSpec, PatientRecord, _validate_scalar, _validate_tte)
-from .errors import DatasetFormatError, InvalidInputError
+import numpy as np
+
+from .core import (Direction, Hierarchy, LevelColumn, OutcomeKind, OutcomeSpec,
+                   PatientRecord, _level_column, _take)
+from .errors import DatasetFormatError
 
 HIERARCHY_SCHEMA = "wrlab/hierarchy-v1"
 
@@ -26,68 +30,64 @@ def _level_columns(spec: OutcomeSpec) -> list[str]:
     return [spec.name]
 
 
-def _parse_cell(raw: str, kind: str, path: str, line: int, column: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise DatasetFormatError(
-            f"{path}:{line}: column '{column}': cannot parse {raw!r} as a number") from None
-    if kind == "event" and value not in (0.0, 1.0):
-        raise DatasetFormatError(
-            f"{path}:{line}: column '{column}': event indicator must be 0 or 1, got {raw!r}")
-    return value
-
-
-def read_dataset(path: str | Path, hierarchy: Hierarchy) -> list[PatientRecord]:
-    """Read a dataset CSV conforming to the hierarchy; errors are positional."""
+def read_dataset(path: str | Path, hierarchy: Hierarchy
+                 ) -> tuple[list[LevelColumn], list[LevelColumn]]:
+    """Read a dataset CSV into per-level (treatment, control) columns that meet the
+    hierarchy's value rule. A fault is reported as `path:line: column`, the first line's."""
     path = str(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [cell.strip() for cell in next(reader)]
         except StopIteration:
             raise DatasetFormatError(f"{path}:1: empty file") from None
-        header = [h.strip() for h in header]
-        required = ["id", "arm"]
-        for spec in hierarchy.levels:
-            required += _level_columns(spec)
-        index: dict[str, int] = {}
-        for col in required:
+        columns = ["id", "arm"] + [c for spec in hierarchy.levels for c in _level_columns(spec)]
+        for col in columns:
             if col not in header:
                 raise DatasetFormatError(f"{path}:1: missing required column '{col}'")
-            index[col] = header.index(col)
-
-        records: list[PatientRecord] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+        pick = operator.itemgetter(*(header.index(col) for col in columns[1:]))
+        lines, rows, faults = [], [], []  # faults: (line, column order, message)
+        for line, row in enumerate(reader, start=2):
+            if not "".join(row).strip():
                 continue
             if len(row) < len(header):
-                raise DatasetFormatError(
-                    f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}")
-            arm_raw = row[index["arm"]].strip()
-            if arm_raw not in ("T", "C"):
-                raise DatasetFormatError(
-                    f"{path}:{line_no}: column 'arm': expected 'T' or 'C', got {arm_raw!r}")
-            values: list[LevelValue] = []
-            for spec in hierarchy.levels:
-                if spec.kind is OutcomeKind.TIME_TO_EVENT:
-                    col, ecol = _level_columns(spec)
-                    value = (_parse_cell(row[index[col]].strip(), "time", path, line_no, col),
-                             _parse_cell(row[index[ecol]].strip(), "event", path, line_no, ecol))
-                    validate = _validate_tte
-                else:
-                    col = spec.name
-                    value = _parse_cell(row[index[col]].strip(), "value", path, line_no, col)
-                    validate = _validate_scalar
-                try:
-                    values.append(validate(value, spec))
-                except InvalidInputError as exc:
-                    raise DatasetFormatError(f"{path}:{line_no}: column '{col}': {exc}") from None
-            records.append(PatientRecord(id=row[index["id"]].strip(),
-                                         arm=Arm(arm_raw), values=tuple(values)))
-    if not records:
+                faults.append((line, 0, f"expected {len(header)} cells, got {len(row)}"))
+                row += [""] * (len(header) - len(row))
+            lines.append(line)
+            rows.append(pick(row))
+    if not rows:
         raise DatasetFormatError(f"{path}: no patient rows")
-    return records
+    arms, *cells = zip(*rows)
+    arms = [arm.strip() for arm in arms]
+    faults += [(lines[i], 1, f"column 'arm': expected 'T' or 'C', got {arm!r}")
+               for i, arm in enumerate(arms) if arm not in ("T", "C")][:1]
+    parsed = {}
+    for name, raw in zip(columns[2:], cells):
+        values = []
+        with contextlib.suppress(ValueError):
+            for cell in raw:
+                values.append(float(cell))
+        if len(values) < len(raw):
+            faults.append((lines[len(values)], columns.index(name), f"column '{name}': cannot "
+                           f"parse {raw[len(values)].strip()!r} as a number"))
+        # Zeros pass every value rule, so the cells past a fault report nothing.
+        parsed[name] = np.array(values + [0.0] * (len(raw) - len(values)))
+    cols = []
+    for spec in hierarchy.levels:
+        names = _level_columns(spec)
+        col, fault = _level_column(spec, [parsed[name] for name in names])
+        if fault is not None:
+            i, part, reason = fault
+            faults.append((lines[i], columns.index(names[part]),
+                           f"column '{names[part]}': {reason}"))
+        cols.append(col)
+    if faults:
+        line, _, message = min(faults)
+        raise DatasetFormatError(f"{path}:{line}: {message}")
+    in_treatment = np.array(arms) == "T"
+    if in_treatment.all() or not in_treatment.any():
+        raise DatasetFormatError(f"{path}: dataset must contain at least one patient per arm")
+    return [_take(c, in_treatment) for c in cols], [_take(c, ~in_treatment) for c in cols]
 
 
 def write_dataset(records: Iterable[PatientRecord], hierarchy: Hierarchy,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wrlab.core import (Arm, Direction, Hierarchy, OutcomeKind, OutcomeSpec,
-                        tally_columns, tally_unmatched)
+                        compare_arms, tally_unmatched)
 from wrlab.datagen import (IphakPlan, exponential_scale_from_dropout, substream,
                            weibull_scale_from_survival)
 from wrlab.design import (mao_sample_size, precision_sample_size, yu_power,
@@ -206,7 +206,7 @@ def test_c04_yu_crosscheck():
     for i in range(100):
         data = dgm.generate(substream(ACCEPT_SEED, 90, i, 0),
                             substream(ACCEPT_SEED, 90, i, 1))
-        s = tally_columns(data.t_cols, data.c_cols, h)
+        s = compare_arms(data.t_cols, data.c_cols, h).stats
         tie_fractions.append(s.n_tie / s.n_pairs)
     p_tie = float(np.mean(tie_fractions))
     power = yu_power(1.32, 510, 0.5, p_tie, 0.05)
@@ -416,7 +416,7 @@ def test_c11_yu_ci_coverage():
     for i in range(n_sim):
         t = substream(ACCEPT_SEED, 91, i, 0).normal(delta, 1.0, 200)
         c = substream(ACCEPT_SEED, 91, i, 1).normal(0.0, 1.0, 200)
-        r = yu_wald_test(tally_columns([t], [c], h))
+        r = yu_wald_test(compare_arms([t], [c], h).stats)
         covered += r.ci[0] <= wr_true <= r.ci[1]
     coverage = covered / n_sim
     ok = abs(coverage - 0.95) <= 0.02

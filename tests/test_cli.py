@@ -42,15 +42,23 @@ class TestAnalyze:
         assert out.read_bytes() == (DATA_DIR / "golden_analyze_censored.txt").read_bytes()
 
     def test_golden_counts_match_naive_oracle(self):
+        # The oracle reads the files itself, not through wrlab's readers.
+        import csv
         from naive_oracle import naive_tally
-        from random_datasets import to_oracle_form
-        from wrlab import io
-        h = io.read_hierarchy(HIERARCHY)
-        records = io.read_dataset(SAMPLE, h)
-        t_p, c_p, levels = to_oracle_form(records, h)
+        levels = json.loads(Path(HIERARCHY).read_text())["levels"]
+        with open(SAMPLE, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        t_p, c_p = ([{lv["name"]: float(r[lv["name"]]) for lv in levels}
+                     for r in rows if r["arm"] == arm] for arm in "TC")
         ref = naive_tally(t_p, c_p, levels)
         text = GOLDEN.read_text()
         assert f"wins: {ref['wins']}  losses: {ref['losses']}  ties: {ref['ties']}" in text
+
+    def test_one_arm_only_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "one_arm.csv"
+        data.write_text("id,arm,ebp,ddd\np1,T,1,2.0\np2,T,0,1.0\n")
+        assert main(["analyze", "--data", str(data), "--hierarchy", HIERARCHY]) == 2
+        assert "at least one patient per arm" in capsys.readouterr().err
 
     def test_hierarchy_level_must_be_object(self, tmp_path, capsys):
         h = tmp_path / "h.json"
@@ -207,6 +215,12 @@ class TestSimulateCommand:
         ({"dgm": "tte-composite", "n_per_arm": 2.5}, "'n_per_arm'"),
         ({"dgm": "tte-composite", "n_per_arm": "x"}, "'n_per_arm'"),
         ({"dgm": "iphak", "alpha": "x"}, "'alpha'"),
+        ({"dgm": "tte-composite", "hazard_ratio": [0.5]}, "'hazard_ratio'"),
+        ({"dgm": "iphak", "n_per_arm": 3}, "'n_per_arm'"),
+        ({"dgm": "binary-continuous", "n_per_arm": 1}, "'n_per_arm' must be an integer >= 2"),
+        ({"preset": "iphak", "alpha": 0.1}, "'alpha'"),
+        ({"preset": "iphak", "dgm": "iphak"}, "'dgm'"),
+        ({"dgm": "binary-continuous", "p_treatments": [1.5]}, "p_treatment must be in [0, 1]"),
     ])
     def test_malformed_config_value_exit_2(self, tmp_path, capsys, payload, named):
         if isinstance(payload, dict):
@@ -242,6 +256,16 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    # Rejected before any cell runs, so no worker process starts.
+    out = tmp_path / "res.csv"
+    assert main(["simulate", "--preset", "iphak", "--iterations", "1", "--threads", threads,
+                 "--out", str(out)]) == 2
+    assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threads_env_fallback(monkeypatch, capsys):

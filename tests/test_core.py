@@ -138,6 +138,13 @@ class TestTallies:
         with pytest.raises(InvalidInputError):
             tally_matched([], self.H1)
 
+    def test_event_indicator_must_be_0_or_1(self):
+        # Records follow the CSV reader's value rule: an event of 2 is not "observed".
+        ds = [record("t", Arm.TREATMENT, (10.0, 2)), record("c", Arm.CONTROL, (20.0, True))]
+        with pytest.raises(InvalidInputError, match="patient 't': level 'death': event "
+                                                    "indicator must be 0 or 1, got 2.0"):
+            tally_unmatched(ds, Hierarchy((TTE_UP,)))
+
     def test_record_length_must_match_hierarchy(self):
         good = record("c", Arm.CONTROL, 4.0)
         for bad in (record("t", Arm.TREATMENT), record("t", Arm.TREATMENT, 1.0, 2.0)):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wrlab.core import Arm, Direction, Hierarchy, OutcomeKind, OutcomeSpec, tally_columns
+from wrlab.core import Arm, Direction, Hierarchy, OutcomeKind, OutcomeSpec, compare_arms
 from wrlab.datagen import (IphakPlan, TtePlan, WeibullParams,
                            event_params_for_arm, exponential_scale_from_dropout,
                            exponential_survival, gen_binary_continuous_arm,
@@ -114,8 +114,8 @@ class TestTteGeneration:
         c_raw = gen_tte_arm(raw, Arm.CONTROL, 80, substream(6, 1))
         rounded_t = (np.ceil(t_raw[0]), t_raw[1])
         rounded_c = (np.ceil(c_raw[0]), c_raw[1])
-        s_raw = tally_columns([t_raw], [c_raw], h)
-        s_round = tally_columns([rounded_t], [rounded_c], h)
+        s_raw = compare_arms([t_raw], [c_raw], h).stats
+        s_round = compare_arms([rounded_t], [rounded_c], h).stats
         assert s_round.n_tie >= s_raw.n_tie
 
     def test_composite_shares_censoring_and_builds_first_event(self):

@@ -95,6 +95,26 @@ class TestScenarioValidation:
         Scenario("ok", dgm, ("wr-unmatched:yu",), bootstrap_replicates=1)
 
 
+class TestDgmValidation:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"p_treatment": 1.5}, "p_treatment must be in [0, 1], got 1.5"),
+        ({"p_control": -0.1}, "p_control must be in [0, 1], got -0.1"),
+        ({"sd": 0.0}, "sd must be > 0, got 0.0"),
+        ({"n_per_arm": 0}, "n_per_arm must be >= 1, got 0"),
+    ])
+    def test_binary_continuous_checked_on_construction(self, kwargs, message):
+        with pytest.raises(InvalidInputError) as exc:
+            BinaryContinuousDgm(**{"p_treatment": 0.5, "delta": 0.5, **kwargs})
+        assert message in str(exc.value)
+
+    def test_tte_composite_plans_built_once_on_construction(self):
+        dgm = TteCompositeDgm(hr_first=0.5, hr_second=0.8)
+        assert [p.hazard_ratio for p in dgm.plans] == [0.5, 0.8]
+        assert [p.event for p in dgm.plans] == [dgm.first, dgm.second]
+        with pytest.raises(InvalidInputError, match="hazard_ratio must be > 0"):
+            TteCompositeDgm(hr_first=0.5, hr_second=-1.0)
+
+
 class TestRunScenario:
     def test_same_data_for_all_methods_and_counts(self):
         dgm = BinaryContinuousDgm(p_treatment=0.6, delta=0.5)
@@ -157,6 +177,17 @@ class TestRunGrid:
         p_wide = next(r for r in run_scenario(wide, 60, 11)
                       if r.method == "t-test").power
         assert p_base == p_wide
+
+    def test_worker_count(self, monkeypatch):
+        # A pure function of its inputs and the CPU count: no worker starts here.
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 4)
+        assert [engine._workers(t, 25) for t in (1, 3, 4, 16)] == [1, 3, 4, 4]
+        assert engine._workers(16, 2) == 2
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
+        assert engine._workers(8, 25) == 1
+        for threads in (0, -3):
+            with pytest.raises(InvalidInputError, match="threads must be >= 1"):
+                engine._workers(threads, 25)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidInputError):

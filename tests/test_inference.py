@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from wrlab.core import (Arm, Direction, Hierarchy, OutcomeKind, OutcomeSpec,
-                        PatientRecord, WinStats, tally_columns)
+                        PatientRecord, WinStats, compare_arms)
 from wrlab.datagen import substream
 from wrlab.errors import AllTiesError, DegenerateCountsError, InvalidInputError
-from wrlab.inference import (bootstrap_columns, bootstrap_wr, infer_phi,
+from wrlab.inference import (bootstrap_verdicts, bootstrap_wr, infer_phi,
                              phi_win, score_test, score_test_columns,
                              var_log_wr, var_phi, var_wr_delta,
                              wald_test_log_wr, yu_wald_test)
@@ -156,7 +156,7 @@ class TestBootstrap:
             rng_b = substream(43, 0, i, 2)
             t = rng_t.normal(delta, 1.0, 20)
             c = rng_c.normal(0.0, 1.0, 20)
-            r = bootstrap_columns([t], [c], H_CONT, 1000, 0.05, rng_b)
+            r = bootstrap_verdicts(compare_arms([t], [c], H_CONT), 1000, 0.05, rng_b)
             cover += r.ci[0] <= wr_true <= r.ci[1]
         assert abs(cover / n_sim - 0.95) <= 0.02
 
@@ -208,11 +208,11 @@ class TestScoreTest:
         assert abs(rejections / n_sim - 0.05) <= 3 * math.sqrt(0.05 * 0.95 / n_sim)
 
 
-def test_tally_columns_matches_record_api():
+def test_compare_arms_matches_record_api():
     rng = np.random.default_rng(10)
     t = rng.normal(0.3, 1, 8)
     c = rng.normal(0.0, 1, 9)
     from wrlab.core import tally_unmatched
     records = [PatientRecord(f"t{i}", Arm.TREATMENT, (float(v),)) for i, v in enumerate(t)]
     records += [PatientRecord(f"c{i}", Arm.CONTROL, (float(v),)) for i, v in enumerate(c)]
-    assert tally_columns([t], [c], H_CONT) == tally_unmatched(records, H_CONT)
+    assert compare_arms([t], [c], H_CONT).stats == tally_unmatched(records, H_CONT)

@@ -1,12 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
 from wrlab.core import (Arm, Direction, Hierarchy, OutcomeKind, OutcomeSpec,
-                        PatientRecord)
+                        PatientRecord, split_dataset)
 from wrlab.errors import DatasetFormatError
 from wrlab.io import (hierarchy_from_dict, hierarchy_to_dict, read_dataset,
                       read_hierarchy, write_dataset)
+
+from random_datasets import random_dataset
 
 H = Hierarchy((OutcomeSpec("death", OutcomeKind.TIME_TO_EVENT, Direction.HIGHER),
                OutcomeSpec("dose", OutcomeKind.CONTINUOUS, Direction.LOWER, margin=0.5)))
@@ -21,18 +24,48 @@ def sample_records():
     ]
 
 
+def assert_same_columns(got, want):
+    """Equal per-level columns: float64 values and times, bool events."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g, w = (g, w) if isinstance(w, tuple) else ((g,), (w,))
+        assert isinstance(g, tuple) and len(g) == len(w)
+        for g_part, w_part in zip(g, w):
+            assert g_part.dtype == w_part.dtype and np.array_equal(g_part, w_part)
+
+
 class TestDatasetRoundTrip:
     def test_write_then_read(self, tmp_path):
         path = tmp_path / "ds.csv"
         write_dataset(sample_records(), H, path)
-        back = read_dataset(path, H)
-        assert back == sample_records()
+        t_cols, c_cols = read_dataset(path, H)
+        assert_same_columns(t_cols, [(np.array([730.0, 120.0]), np.array([False, True])),
+                                     np.array([1.25, -0.5])])
+        assert_same_columns(c_cols, [(np.array([200.0, 730.0]), np.array([True, False])),
+                                     np.array([0.0, 2.0])])
+
+    def test_round_trip_equals_record_columns(self, tmp_path):
+        # Random hierarchies of every kind, both directions and margins: the CSV
+        # read gives the columns the record API builds from the same patients.
+        rng = np.random.default_rng(1111)
+        path = tmp_path / "ds.csv"
+        for _ in range(200):
+            records, h = random_dataset(rng)
+            write_dataset(records, h, path)
+            for got, want in zip(read_dataset(path, h), split_dataset(records, h)):
+                assert_same_columns(got, want)
 
     def test_header_written(self, tmp_path):
         path = tmp_path / "ds.csv"
         write_dataset(sample_records(), H, path)
         header = path.read_text().splitlines()[0]
         assert header == "id,arm,time_death,event_death,dose"
+
+
+H4 = Hierarchy(H.levels + (OutcomeSpec("visits", OutcomeKind.COUNT, Direction.LOWER),
+                           OutcomeSpec("flag", OutcomeKind.BINARY, Direction.LOWER)))
+H4_HEADER = "id,arm,time_death,event_death,dose,visits,flag"
+H4_ROWS = "p1,T,10,1,0.5,0,1\np2,C,20,0,1.5,2,0\np3,T,30,1,2.0,1,1"
 
 
 class TestDatasetErrors:
@@ -77,6 +110,33 @@ class TestDatasetErrors:
         with pytest.raises(DatasetFormatError, match=f":2: column '{column}'"):
             read_dataset(path, h)
 
+    @pytest.mark.parametrize("row, where", [
+        ("p4,C,oops,1,0.5,0,1", "column 'time_death': cannot parse 'oops'"),
+        ("p4,C,10,1,nan,0,1", "column 'dose': value must be finite"),
+        ("p4,C,10,1,0.5,0,2", "column 'flag': binary value must be 0 or 1"),
+        ("p4,C,10,1,0.5,2.5,1", "column 'visits': count must be a nonnegative integer"),
+        ("p4,C,-1,1,0.5,0,1", "column 'time_death': time must be finite and >= 0"),
+        ("p4,C,10,2,0.5,0,1", "column 'event_death': event indicator must be 0 or 1"),
+        ("p4,X,10,1,0.5,0,1", "column 'arm': expected 'T' or 'C'"),
+        ("p4,C,10,1", "expected 7 cells, got 4"),
+    ])
+    def test_each_rejection_reports_line_and_column(self, tmp_path, row, where):
+        path = self.write(tmp_path, f"{H4_HEADER}\n{H4_ROWS}\n{row}\np5,C,5,0,0.0,1,0\n")
+        with pytest.raises(DatasetFormatError, match=f"bad.csv:5: {where}"):
+            read_dataset(path, H4)
+
+    def test_short_only_row_reported(self, tmp_path):
+        path = self.write(tmp_path, "id,arm,time_death,event_death,dose\np1,T,10\n")
+        with pytest.raises(DatasetFormatError, match="bad.csv:2: expected 5 cells, got 3"):
+            read_dataset(path, H)
+
+    def test_first_faulty_line_is_reported(self, tmp_path):
+        # A fault in a later column on an earlier line is the one reported.
+        rows = H4_ROWS.replace("p2,C,20,0,1.5,2,0", "p2,C,20,0,1.5,2,5")
+        path = self.write(tmp_path, f"{H4_HEADER}\n{rows}\np4,C,oops,1,0.5,0,1\n")
+        with pytest.raises(DatasetFormatError, match="bad.csv:3: column 'flag'"):
+            read_dataset(path, H4)
+
     def test_empty_file(self, tmp_path):
         path = self.write(tmp_path, "")
         with pytest.raises(DatasetFormatError):
@@ -108,6 +168,14 @@ class TestHierarchyConfig:
         with pytest.raises(DatasetFormatError, match="level 0"):
             hierarchy_from_dict({"schema": "wrlab/hierarchy-v1",
                                  "levels": [{"name": "x", "kind": "mystery",
+                                             "direction": "higher-favorable"}]})
+
+    @pytest.mark.parametrize("name", [5, "", None])
+    def test_level_name_must_be_non_empty_string(self, name):
+        # Checked by OutcomeSpec itself, so library hierarchies follow the same rule.
+        with pytest.raises(DatasetFormatError, match="level 0: .*name must be a non-empty string"):
+            hierarchy_from_dict({"schema": "wrlab/hierarchy-v1",
+                                 "levels": [{"name": name, "kind": "continuous",
                                              "direction": "higher-favorable"}]})
 
     def test_non_object_payload_or_level_rejected(self):

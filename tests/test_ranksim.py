@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wrlab import ranksim
-from wrlab.core import tally_columns, win_ratio
+from wrlab.core import compare_arms, win_ratio
 from wrlab.datagen import substream
 from wrlab.errors import InfeasibleParameterError, InvalidInputError
 from wrlab.ranksim import (RankSimConfig, _fnch_probs, rank_hierarchy,
@@ -80,7 +80,7 @@ class TestSimulateRankTrial:
             ratios = []
             for i in range(400):
                 t_cols, c_cols = simulate_rank_trial(cfg, substream(21, i))
-                s = tally_columns(t_cols, c_cols, h)
+                s = compare_arms(t_cols, c_cols, h).stats
                 if 0 < s.n_loss:
                     ratios.append(win_ratio(s))
             mean_wr.append(np.mean(ratios))
