@@ -15,6 +15,7 @@ level is a tie.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -60,6 +61,9 @@ class OutcomeSpec:
         if not isinstance(self.name, str) or not self.name:
             raise InvalidInputError(f"OutcomeSpec: name must be a non-empty string, "
                                     f"got {self.name!r}")
+        if isinstance(self.margin, bool) or not isinstance(self.margin, numbers.Real):
+            raise InvalidInputError(f"OutcomeSpec '{self.name}': margin must be a number, "
+                                    f"got {self.margin!r}")
         if not math.isfinite(self.margin) or self.margin < 0.0:
             raise InvalidInputError(f"OutcomeSpec '{self.name}': margin must be >= 0")
         if self.kind is OutcomeKind.BINARY and self.margin != 0.0:
@@ -176,9 +180,8 @@ def compare_at_level(a: LevelValue, b: LevelValue, spec: OutcomeSpec) -> Verdict
 
 def compare_pair(a: PatientRecord, b: PatientRecord, h: Hierarchy) -> ComparisonResult:
     """Hierarchical comparison: verdict of the first non-tied level."""
-    verdict, level = _cascade(h, arm_columns([a], h), arm_columns([b], h), (1,))
-    k = int(level[0])
-    return ComparisonResult(_VERDICTS[int(verdict[0])], None if k < 0 else k)
+    net, decided = _cascade(h, arm_columns([a], h), arm_columns([b], h), (1,))
+    return ComparisonResult(_VERDICTS[int(net[0])], decided.index(1) if net[0] else None)
 
 
 def arm_columns(records: Sequence[PatientRecord], h: Hierarchy) -> list[LevelColumn]:
@@ -238,41 +241,39 @@ def _take(col: LevelColumn, index) -> LevelColumn:
     return (col[0][index], col[1][index]) if isinstance(col, tuple) else col[index]
 
 
-def _cascade(h: Hierarchy, t_levels: Iterable, c_levels: Iterable,
-             shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Verdict and deciding level of each pair: the first level that is not a tie.
+def _cascade(h: Hierarchy, t_levels: Iterable, c_levels: Iterable, shape: tuple[int, ...],
+             counted: int = 0) -> tuple[np.ndarray, list[int]]:
+    """Each pair's net verdict, +1 win / -1 loss / 0 tie at its first untied level, and
+    the number of pairs each level decides in columns `counted:` of the last axis.
 
     `t_levels` and `c_levels` yield one value array per level, shaped to
     broadcast to `shape`; they are consumed lazily, so levels after the last
     undecided pair are never compared.
     """
-    verdict = np.zeros(shape, dtype=np.int8)
-    level = np.full(shape, -1, dtype=np.int16)
+    net = np.zeros(shape, dtype=np.int8)
     undecided = np.ones(shape, dtype=bool)
+    decided, left = [0] * len(h), undecided[..., counted:].size
     for k, (spec, a_vals, b_vals) in enumerate(zip(h.levels, t_levels, c_levels)):
         win, loss = _win_loss_masks(spec, a_vals, b_vals)
-        new_win = undecided & win
-        new_loss = undecided & loss
-        verdict[new_win] = 1
-        verdict[new_loss] = -1
-        level[new_win | new_loss] = k
+        net += win & undecided
+        net -= loss & undecided
         undecided &= ~(win | loss)
-        if not undecided.any():
+        now = np.count_nonzero(undecided[..., counted:])
+        decided[k], left = left - now, now
+        if not left and not undecided.any():
             break
-    return verdict, level
+    return net, decided
 
 
-def pairwise_verdicts(pooled: Sequence[LevelColumn], h: Hierarchy, rows: range,
-                      cols: range) -> tuple[np.ndarray, np.ndarray]:
-    """Verdict and deciding-level block of pooled patients `rows`, each taken as the
-    treatment patient, against pooled patients `cols`.
-
-    Returns (verdict, level): verdict is int8 with +1 win / -1 loss / 0 tie,
-    level is the 0-based deciding level, -1 for overall ties.
-    """
+def pairwise_verdicts(pooled: Sequence[LevelColumn], h: Hierarchy, rows: range, cols: range,
+                      *, count_from: int = 0) -> tuple[np.ndarray, list[int]]:
+    """The int8 net verdict block (+1 win / -1 loss / 0 tie) of pooled patients `rows`, each
+    taken as the treatment patient, against pooled patients `cols`, and the number of its
+    pairs each level decides in the columns from pooled patient `count_from` on."""
     at_row, at_col = np.s_[rows.start:rows.stop, None], np.s_[None, cols.start:cols.stop]
     return _cascade(h, (_take(col, at_row) for col in pooled),
-                    (_take(col, at_col) for col in pooled), (len(rows), len(cols)))
+                    (_take(col, at_col) for col in pooled), (len(rows), len(cols)),
+                    max(count_from - cols.start, 0))
 
 
 def _tally(net: int, decided: Sequence[int], n_pairs: int, pairing: str,
@@ -337,16 +338,16 @@ def _matrix_comparison(pooled: Sequence[LevelColumn], n_t: int, h: Hierarchy) ->
     block straddles the arms; the treatment blocks' control columns give the level counts."""
     n = _size(pooled[0])
     n_c, step = n - n_t, max(1, _BLOCK_PAIRS // n)
-    u, counts = np.zeros(n, dtype=np.int64), np.zeros(len(h) + 1, dtype=np.int64)
+    u, decided = np.zeros(n, dtype=np.int64), np.zeros(len(h), dtype=np.int64)
     for start in [*range(0, n_t, step), *range(n_t, n, step)]:
         stop = min(start + step, n_t if start < n_t else n)
-        verdict, level = pairwise_verdicts(pooled, h, range(start, stop), range(start, n))
-        u[start:stop] += verdict.sum(axis=1, dtype=np.int64)
-        u[stop:] -= verdict[:, stop - start:].sum(axis=0, dtype=np.int64)
-        if start < n_t:
-            counts += np.bincount(level[:, n_t - start:].ravel() + 1, minlength=len(h) + 1)
+        net, counts = pairwise_verdicts(pooled, h, range(start, stop), range(start, n),
+                                        count_from=n_t if start < n_t else n)
+        u[start:stop] += net.sum(axis=1, dtype=np.int64)
+        u[stop:] -= net[:, stop - start:].sum(axis=0, dtype=np.int64)
+        decided += counts
     # Within-arm scores cancel, so the treatment scores sum to wins - losses.
-    stats = _tally(int(u[:n_t].sum()), counts[1:].tolist(), n_t * n_c, "unmatched", n_t, n_c)
+    stats = _tally(int(u[:n_t].sum()), decided.tolist(), n_t * n_c, "unmatched", n_t, n_c)
     return ArmComparison(stats, lambda: (u[:n_t], u[n_t:]),
                          lambda: pairwise_verdicts(pooled, h, range(n_t), range(n_t, n))[0])
 
@@ -378,9 +379,8 @@ def tally_matched(pairs: Sequence[tuple[PatientRecord, PatientRecord]],
     t_cols = arm_columns([p[0] for p in pairs], h)
     c_cols = arm_columns([p[1] for p in pairs], h)
     n = len(pairs)
-    verdict, level = _cascade(h, t_cols, c_cols, (n,))
-    return _tally(int(verdict.sum(dtype=np.int64)),
-                  np.bincount(level + 1, minlength=len(h) + 1)[1:].tolist(), n, "matched", n, n)
+    net, decided = _cascade(h, t_cols, c_cols, (n,))
+    return _tally(int(net.sum(dtype=np.int64)), decided, n, "matched", n, n)
 
 
 def win_ratio(s: WinStats) -> float:

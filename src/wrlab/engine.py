@@ -194,6 +194,10 @@ class Scenario:
             if m in COMPARATOR_METHODS and m not in self.dgm.SUPPORTED_COMPARATORS:
                 raise InvalidInputError(
                     f"method {m!r} incompatible with {type(self.dgm).__name__}")
+        if "t-test" in self.methods:
+            n = (self.dgm.plan if isinstance(self.dgm, IphakDgm) else self.dgm).n_per_arm
+            if n < 2:
+                raise InvalidInputError(f"method 't-test' needs n_per_arm >= 2, got {n}")
         if "wr-unmatched:bootstrap" in self.methods and self.bootstrap_replicates < 2:
             raise InvalidInputError(f"bootstrap needs bootstrap_replicates >= 2, "
                                     f"got {self.bootstrap_replicates}")

@@ -133,7 +133,7 @@ def hierarchy_from_dict(payload: dict, source: str = "<config>") -> Hierarchy:
         try:
             levels.append(OutcomeSpec(name=item["name"], kind=OutcomeKind(item["kind"]),
                                       direction=Direction(item["direction"]),
-                                      margin=float(item.get("margin", 0.0))))
+                                      margin=item.get("margin", 0.0)))
         except (KeyError, ValueError) as exc:
             raise DatasetFormatError(f"{source}: level {i}: {exc}") from None
     return Hierarchy(tuple(levels))

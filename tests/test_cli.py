@@ -66,6 +66,16 @@ class TestAnalyze:
         assert main(["analyze", "--data", SAMPLE, "--hierarchy", str(h)]) == 2
         assert f"{h}: level 0: expected an object" in capsys.readouterr().err
 
+    def test_non_numeric_margin_exits_2(self, tmp_path, capsys):
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps({"schema": "wrlab/hierarchy-v1",
+                                 "levels": [{"name": "ebp", "kind": "binary",
+                                             "direction": "lower-favorable", "margin": None}]}))
+        assert main(["analyze", "--data", SAMPLE, "--hierarchy", str(h)]) == 2
+        err = capsys.readouterr().err
+        assert f"{h}: level 0: OutcomeSpec 'ebp': margin must be a number, got None" in err
+        assert "Traceback" not in err
+
     def test_malformed_event_value_exits_2(self, tmp_path, capsys):
         h = tmp_path / "h.json"
         h.write_text(json.dumps({

@@ -25,6 +25,13 @@ def record(rid, arm, *values):
     return PatientRecord(rid, arm, tuple(values))
 
 
+def pooled_columns(records, h):
+    """Per-level columns of all patients, treatment arm first."""
+    t_cols, c_cols = split_dataset(records, h)
+    return [tuple(map(np.concatenate, zip(t, c))) if isinstance(t, tuple)
+            else np.concatenate([t, c]) for t, c in zip(t_cols, c_cols)]
+
+
 class TestCompareAtLevel:
     def test_treatment_event_while_control_unresolved_is_loss(self):
         # treatment died at day 100; control event-free through day 400
@@ -301,6 +308,57 @@ class TestInvariantsOnRandomData:
             tracemalloc.stop()
         assert math.isfinite(z)
         assert peak < 12 * 2**20
+
+    def test_verdict_block_and_counted_levels_equal_oracle(self):
+        # A block of pooled rows that starts inside the treatment arm and reaches
+        # into control, against every column from its first row on: its net block
+        # is the oracle's signs, and its level counts over the columns from
+        # `count_from` on are the oracle's counts on those pairs.
+        rng = np.random.default_rng(13)
+        sign = {"win": 1, "loss": -1, "tie": 0}
+        checked = 0
+        while checked < 60:
+            records, h = random_dataset(rng, max_per_arm=9)
+            t_pat, c_pat, levels = to_oracle_form(records, h)
+            n_t, n = len(t_pat), len(t_pat) + len(c_pat)
+            if n_t < 2:
+                continue
+            checked += 1
+            start, stop = int(rng.integers(1, n_t)), int(rng.integers(n_t + 1, n + 1))
+            count_from = int(rng.integers(start, n + 1))
+            net, decided = core.pairwise_verdicts(pooled_columns(records, h), h,
+                                                  range(start, stop), range(start, n),
+                                                  count_from=count_from)
+            pooled_pat = t_pat + c_pat
+            ref = [[compare_hierarchically(p, q, levels) for q in pooled_pat[start:]]
+                   for p in pooled_pat[start:stop]]
+            assert net.dtype == np.int8
+            assert net.tolist() == [[sign[v] for v, _ in row] for row in ref]
+            counted = Counter(k for row in ref for _, k in row[count_from - start:])
+            assert decided == [counted[k] for k in range(len(h))]
+
+    def test_levels_after_the_last_undecided_pair_are_never_compared(self):
+        # Distinct first-level values decide every pair of a block without a
+        # patient against itself; the later levels' columns must not be read.
+        class Unread:
+            def __getitem__(self, index):
+                raise AssertionError("a level was compared after every pair was decided")
+
+        h = Hierarchy((CONT_DOWN, TTE_UP, OutcomeSpec("n", OutcomeKind.COUNT, Direction.HIGHER)))
+        records = [record(f"{arm.value}{i}", arm, float(v), (5.0, True), 2.0)
+                   for i, (arm, v) in enumerate([(Arm.TREATMENT, 3), (Arm.TREATMENT, 0),
+                                                 (Arm.TREATMENT, 7), (Arm.CONTROL, 1),
+                                                 (Arm.CONTROL, 9), (Arm.CONTROL, 4)])]
+        pooled = pooled_columns(records, h)[:1] + [Unread(), Unread()]
+        net, decided = core.pairwise_verdicts(pooled, h, range(1, 4), range(4, 6))
+        t_pat, c_pat, levels = to_oracle_form(records, h)
+        pooled_pat = t_pat + c_pat
+        ref = [[compare_hierarchically(p, q, levels) for q in pooled_pat[4:]]
+               for p in pooled_pat[1:4]]
+        assert net.tolist() == [[{"win": 1, "loss": -1}[v] for v, _ in row] for row in ref]
+        assert decided == [6, 0, 0]
+        net, decided = core.pairwise_verdicts(pooled, h, range(1, 4), range(4, 6), count_from=5)
+        assert decided == [3, 0, 0]
 
     def test_nan_value_or_time_is_rejected_on_both_paths(self):
         nan_first = (np.array([np.nan, 1.0]), np.array([0.0, 2.0]))

@@ -94,6 +94,16 @@ class TestScenarioValidation:
         # The replicate count only matters when the bootstrap runs.
         Scenario("ok", dgm, ("wr-unmatched:yu",), bootstrap_replicates=1)
 
+    @pytest.mark.parametrize("dgm", [
+        BinaryContinuousDgm(p_treatment=0.5, delta=0.5, n_per_arm=1),
+        IphakDgm(IphakPlan(n_per_arm=1)),
+    ])
+    def test_t_test_needs_two_per_arm(self, dgm):
+        # At 1 per arm the t-test is undefined on every iteration.
+        with pytest.raises(InvalidInputError, match="'t-test' needs n_per_arm >= 2, got 1"):
+            Scenario("tiny", dgm, ("wr-unmatched", "t-test"))
+        Scenario("tiny", dgm, ("wr-unmatched", "fisher-exact"))
+
 
 class TestDgmValidation:
     @pytest.mark.parametrize("kwargs, message", [

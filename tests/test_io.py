@@ -178,6 +178,16 @@ class TestHierarchyConfig:
                                  "levels": [{"name": name, "kind": "continuous",
                                              "direction": "higher-favorable"}]})
 
+    @pytest.mark.parametrize("margin", [None, [1], True, "0.5"])
+    def test_level_margin_must_be_number(self, margin):
+        # Checked by OutcomeSpec itself, so library hierarchies follow the same rule.
+        with pytest.raises(DatasetFormatError,
+                           match=r"level 0: OutcomeSpec 'x': margin must be a number, got "):
+            hierarchy_from_dict({"schema": "wrlab/hierarchy-v1",
+                                 "levels": [{"name": "x", "kind": "continuous",
+                                             "direction": "higher-favorable",
+                                             "margin": margin}]})
+
     def test_non_object_payload_or_level_rejected(self):
         with pytest.raises(DatasetFormatError, match="expected a JSON object"):
             hierarchy_from_dict([], source="h.json")
