@@ -143,16 +143,17 @@ def _cmd_ranksim(args: argparse.Namespace) -> int:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 # What each grid-config key must hold; the engine's grid builders hold the defaults.
 _COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
+_NUMBER = (_is_number, "a finite number")
 _NUMBERS = (lambda v: isinstance(v, list) and bool(v) and all(map(_is_number, v)),
-            "a non-empty list of numbers")
+            "a non-empty list of finite numbers")
 _GRID_KEYS = {"iterations": _COUNT, "n_per_arm": (lambda v: type(v) is int and v >= 2,
                                                   "an integer >= 2"),
-              "alpha": (_is_number, "a number"), "p_control": (_is_number, "a number"),
+              "alpha": _NUMBER, "p_control": _NUMBER,
               "deltas": _NUMBERS, "p_treatments": _NUMBERS, "hazard_ratios": _NUMBERS,
               "orders": (lambda v: isinstance(v, list) and bool(v), "a non-empty list")}
 # Each dgm's grid builder and the keys it reads.

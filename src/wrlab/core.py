@@ -64,8 +64,12 @@ class OutcomeSpec:
         if isinstance(self.margin, bool) or not isinstance(self.margin, numbers.Real):
             raise InvalidInputError(f"OutcomeSpec '{self.name}': margin must be a number, "
                                     f"got {self.margin!r}")
-        if not math.isfinite(self.margin) or self.margin < 0.0:
-            raise InvalidInputError(f"OutcomeSpec '{self.name}': margin must be >= 0")
+        if not math.isfinite(self.margin):
+            raise InvalidInputError(f"OutcomeSpec '{self.name}': margin must be finite, "
+                                    f"got {self.margin}")
+        if self.margin < 0.0:
+            raise InvalidInputError(f"OutcomeSpec '{self.name}': margin must be >= 0, "
+                                    f"got {self.margin}")
         if self.kind is OutcomeKind.BINARY and self.margin != 0.0:
             raise InvalidInputError(f"OutcomeSpec '{self.name}': binary outcomes take margin 0")
 

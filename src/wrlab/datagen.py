@@ -48,10 +48,15 @@ def exponential_survival(t: float, scale: float) -> float:
     return math.exp(-t / scale)
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise InvalidInputError(f"{name} must be > 0 and finite, got {value}")
+
+
 def weibull_scale_from_survival(t: float, survival: float, shape: float) -> float:
     """Scale such that the Weibull survival at time t equals `survival`."""
-    if t <= 0.0 or shape <= 0.0:
-        raise InvalidInputError(f"t and shape must be > 0, got t={t}, shape={shape}")
+    _check_positive("t", t)
+    _check_positive("shape", shape)
     if not 0.0 < survival < 1.0:
         raise InvalidInputError(f"survival must be in (0, 1), got {survival}")
     return t / (-math.log(survival)) ** (1.0 / shape)
@@ -59,8 +64,7 @@ def weibull_scale_from_survival(t: float, survival: float, shape: float) -> floa
 
 def exponential_scale_from_dropout(t: float, p_drop: float) -> float:
     """Exponential scale giving dropout probability p_drop by time t."""
-    if t <= 0.0:
-        raise InvalidInputError(f"t must be > 0, got {t}")
+    _check_positive("t", t)
     if not 0.0 < p_drop < 1.0:
         raise InvalidInputError(f"p_drop must be in (0, 1), got {p_drop}")
     return t / (-math.log(1.0 - p_drop))
@@ -77,8 +81,7 @@ class TtePlan:
     round_to_days: bool = False
 
     def __post_init__(self) -> None:
-        if self.hazard_ratio <= 0.0:
-            raise InvalidInputError(f"hazard_ratio must be > 0, got {self.hazard_ratio}")
+        _check_positive("hazard_ratio", self.hazard_ratio)
         if self.censoring_scale <= 0.0 or self.follow_up <= 0.0:
             raise InvalidInputError("censoring_scale and follow_up must be > 0")
 

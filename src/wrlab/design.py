@@ -36,6 +36,13 @@ class SampleSize:
         return self.n_treatment + self.n_control
 
 
+def _check_above(name: str, value: float, low: float, closed: bool = False) -> None:
+    """A finite value above `low` (or equal to it when `closed`), else an error naming it."""
+    if not math.isfinite(value) or value < low or (value == low and not closed):
+        raise InvalidInputError(f"{name} must be finite and {'>=' if closed else '>'} {low:g}, "
+                                f"got {value}")
+
+
 def _check_allocation(p: float, name: str) -> None:
     if not 0.0 < p < 1.0:
         raise InvalidInputError(f"{name} must be in (0, 1), got {p}")
@@ -69,10 +76,8 @@ def yu_power(wr: float, n_total: float, p_t: float = 0.5, p_tie: float = 0.0,
              alpha: float = 0.05, sidedness: str = "two-sided",
              variant: str = "as-written") -> float:
     """Power of the log-WR Wald test under the approximate variance."""
-    if wr <= 0.0:
-        raise InvalidInputError(f"wr must be > 0, got {wr}")
-    if n_total < 2:
-        raise InvalidInputError(f"n_total must be >= 2, got {n_total}")
+    _check_above("wr", wr, 0.0)
+    _check_above("n_total", n_total, 2.0, closed=True)
     if variant not in ("as-written", "symmetric"):
         raise InvalidInputError(f"variant must be 'as-written' or 'symmetric', got {variant!r}")
     log_wr = math.log(wr)
@@ -92,8 +97,7 @@ def _split_arms(n_unrounded: float, p_t: float) -> SampleSize:
 def yu_sample_size(wr: float, power: float, p_t: float = 0.5, p_tie: float = 0.0,
                    alpha: float = 0.05, sidedness: str = "two-sided") -> SampleSize:
     """Total sample size N = sigma^2 (Z_{1-a/2} + Z_{1-b})^2 / log(WR)^2."""
-    if wr <= 0.0:
-        raise InvalidInputError(f"wr must be > 0, got {wr}")
+    _check_above("wr", wr, 0.0)
     if wr == 1.0:
         raise InfiniteSampleSizeError("wr = 1: required sample size is infinite")
     if not 0.0 < power < 1.0:
@@ -107,8 +111,7 @@ def yu_sample_size(wr: float, power: float, p_t: float = 0.5, p_tie: float = 0.0
 def precision_width(n_total: float, p_t: float = 0.5, p_tie: float = 0.0,
                     alpha: float = 0.05) -> float:
     """Expected total width of the two-sided Wald CI for log(WR)."""
-    if n_total < 2:
-        raise InvalidInputError(f"n_total must be >= 2, got {n_total}")
+    _check_above("n_total", n_total, 2.0, closed=True)
     z = _z_alpha(alpha, "two-sided")
     return 2.0 * z * math.sqrt(yu_sigma_sq(p_t, p_tie) / n_total)
 
@@ -119,20 +122,17 @@ def precision_sample_size(width: float, p_t: float = 0.5, p_tie: float = 0.0,
 
     Independent of the anticipated WR by construction.
     """
-    if width <= 0.0:
-        raise InvalidInputError(f"width must be > 0, got {width}")
+    _check_above("width", width, 0.0)
     z = _z_alpha(alpha, "two-sided")
     n = 4.0 * z * z * yu_sigma_sq(p_t, p_tie) / (width * width)
     return _split_arms(n, p_t)
 
 
 def _check_mao(wr: float, xi0_sq: float, w0: float) -> None:
-    if xi0_sq <= 0.0:
-        raise InvalidInputError(f"xi0_sq must be > 0, got {xi0_sq}")
+    _check_above("xi0_sq", xi0_sq, 0.0)
     if not 0.0 < w0 <= 1.0:
         raise InvalidInputError(f"w0 must be in (0, 1], got {w0}")
-    if wr <= 0.0:
-        raise InvalidInputError(f"wr must be > 0, got {wr}")
+    _check_above("wr", wr, 0.0)
 
 
 def mao_power(n_total: float, wr: float, xi0_sq: float, w0: float,
@@ -140,8 +140,7 @@ def mao_power(n_total: float, wr: float, xi0_sq: float, w0: float,
     """Power via the rank-variance method:
     Phi(W0 log(WR) sqrt(p_c (1-p_c) N) / xi0 - Z_{1-a/2})."""
     _check_mao(wr, xi0_sq, w0)
-    if n_total < 2:
-        raise InvalidInputError(f"n_total must be >= 2, got {n_total}")
+    _check_above("n_total", n_total, 2.0, closed=True)
     _check_allocation(p_c, "p_c")
     z_a = _z_alpha(alpha, "two-sided")
     ncp = w0 * math.log(wr) * math.sqrt(p_c * (1.0 - p_c) * n_total) / math.sqrt(xi0_sq)

@@ -97,6 +97,8 @@ class BinaryContinuousDgm:
         for name in ("p_treatment", "p_control"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise InvalidInputError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if not math.isfinite(self.delta):
+            raise InvalidInputError(f"delta must be finite, got {self.delta}")
         if not self.sd > 0.0:
             raise InvalidInputError(f"sd must be > 0, got {self.sd}")
         if self.n_per_arm < 1:

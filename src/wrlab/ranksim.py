@@ -3,8 +3,8 @@
 Instead of modeling outcome distributions, each iteration assigns the
 patients ranks directly: the number of treatment patients landing in the
 top (better) half of the rank distribution is drawn from a Fisher
-noncentral hypergeometric distribution whose odds parameter is solved, once
-per level, so that its mean matches the requested per-level win proportion.
+noncentral hypergeometric law, tabulated once per level at the odds that make
+its mean match the requested per-level win proportion.
 `engine.run_scenario` runs this rank assignment as a data-generating model
 and tests the win ratio with its two-sided percentile bootstrap CI.
 
@@ -59,23 +59,22 @@ def _top_half(n_total: int) -> int:
     return (n_total + 1) // 2
 
 
-def _fnch_probs(log_omega: float, top: int, bottom: int, n_draw: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Support and probabilities of the Fisher noncentral hypergeometric count."""
-    lo = max(0, n_draw - bottom)
-    hi = min(n_draw, top)
-    ks = np.arange(lo, hi + 1)
-    logw = np.array([ln_choose(top, k) + ln_choose(bottom, n_draw - k) + k * log_omega
-                     for k in ks])
+def _fnch_table(n_t: int, n_c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Support k of the treatment count in the top half, and the odds-free log
+    weights ln C(top, k) + ln C(bottom, n_t - k) of Fisher's noncentral law."""
+    top = _top_half(n_t + n_c)
+    bottom = n_t + n_c - top
+    ks = np.arange(max(0, n_t - bottom), min(n_t, top) + 1)
+    base = np.array([ln_choose(top, k) + ln_choose(bottom, n_t - k) for k in ks])
+    return ks, base
+
+
+def _fnch_probs(ks: np.ndarray, base: np.ndarray, log_omega: float) -> np.ndarray:
+    """Fisher noncentral hypergeometric probabilities over the table's support."""
+    logw = base + ks * log_omega
     logw -= logw.max()
     probs = np.exp(logw)
-    probs /= probs.sum()
-    return ks, probs
-
-
-def _fnch_mean_share(log_omega: float, top: int, bottom: int, n_draw: int) -> float:
-    ks, probs = _fnch_probs(log_omega, top, bottom, n_draw)
-    return float((ks * probs).sum()) / n_draw
+    return probs / probs.sum()
 
 
 def solve_omega(phi_win: float, n_t: int, n_c: int, tol: float = 1e-8) -> float:
@@ -86,20 +85,21 @@ def solve_omega(phi_win: float, n_t: int, n_c: int, tol: float = 1e-8) -> float:
     """
     if not 0.0 < phi_win < 1.0:
         raise InvalidInputError(f"phi_win must be in (0, 1), got {phi_win}")
-    n_total = n_t + n_c
-    top = _top_half(n_total)
-    bottom = n_total - top
-    lo_share = max(0, n_t - bottom) / n_t
-    hi_share = min(n_t, top) / n_t
+    ks, base = _fnch_table(n_t, n_c)
+    lo_share, hi_share = int(ks[0]) / n_t, int(ks[-1]) / n_t
     if not lo_share < phi_win < hi_share:
         raise InfeasibleParameterError(
             f"phi_win={phi_win} outside the attainable open range ({lo_share}, {hi_share})")
+
+    def mean_share(log_omega: float) -> float:
+        return float((ks * _fnch_probs(ks, base, log_omega)).sum()) / n_t
+
     lo, hi = -60.0, 60.0
-    if not _fnch_mean_share(lo, top, bottom, n_t) < phi_win < _fnch_mean_share(hi, top, bottom, n_t):
+    if not mean_share(lo) < phi_win < mean_share(hi):
         raise InfeasibleParameterError(f"phi_win={phi_win} not attainable for arms {n_t}/{n_c}")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        share = _fnch_mean_share(mid, top, bottom, n_t)
+        share = mean_share(mid)
         if abs(share - phi_win) <= tol:
             return math.exp(mid)
         if share < phi_win:
@@ -109,19 +109,14 @@ def solve_omega(phi_win: float, n_t: int, n_c: int, tol: float = 1e-8) -> float:
     return math.exp(0.5 * (lo + hi))
 
 
-def _sample_top_count(log_omega: float, top: int, bottom: int, n_draw: int,
-                      rng: np.random.Generator) -> int:
-    ks, probs = _fnch_probs(log_omega, top, bottom, n_draw)
-    return int(rng.choice(ks, p=probs))
-
-
-def _assign_ranks(log_omega: float, n_t: int, n_c: int, tie_prob: float,
+def _assign_ranks(law: tuple[np.ndarray, np.ndarray], n_t: int, n_c: int, tie_prob: float,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One level of rank values for (treatment, control); smaller rank = better."""
+    """One level of rank values for (treatment, control); smaller rank = better.
+    The top-half treatment count is drawn from `law`: (support, probabilities)."""
     n_total = n_t + n_c
     top = _top_half(n_total)
     bottom = n_total - top
-    x = _sample_top_count(log_omega, top, bottom, n_t, rng)
+    x = int(rng.choice(law[0], p=law[1]))
     ranks_top = rng.choice(top, size=x, replace=False) + 1
     ranks_bottom = rng.choice(bottom, size=n_t - x, replace=False) + top + 1
     t_ranks = np.concatenate([ranks_top, ranks_bottom])
@@ -147,28 +142,32 @@ def rank_hierarchy(n_levels: int) -> Hierarchy:
 class RankDgm:
     """Rank assignment as a data-generating model for `engine.run_scenario`.
 
-    Each level's odds are solved once, on construction. Both arms' ranks are
-    drawn jointly from the treatment-arm substream.
+    Each level's odds are solved, and its law of the top-half treatment
+    count tabulated, once on construction; every dataset draws from those
+    tables. Both arms' ranks are drawn jointly from the treatment-arm substream.
     """
 
     SUPPORTED_COMPARATORS = frozenset()
 
     cfg: RankSimConfig
-    log_omegas: tuple[float, ...] = field(init=False)
+    # (support, probabilities) per level: derived from cfg, so not hashed or compared.
+    laws: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "log_omegas", tuple(
-            math.log(solve_omega(phi, self.cfg.n_t, self.cfg.n_c))
+        n_t, n_c = self.cfg.n_t, self.cfg.n_c
+        ks, base = _fnch_table(n_t, n_c)
+        object.__setattr__(self, "laws", tuple(
+            (ks, _fnch_probs(ks, base, math.log(solve_omega(phi, n_t, n_c))))
             for phi in self.cfg.phi_win_per_level))
 
     def hierarchy(self) -> Hierarchy:
-        return rank_hierarchy(len(self.log_omegas))
+        return rank_hierarchy(len(self.laws))
 
     def generate(self, rng_t: np.random.Generator, rng_c: np.random.Generator) -> GeneratedData:
         cfg = self.cfg
-        levels = [_assign_ranks(log_omega, cfg.n_t, cfg.n_c,
+        levels = [_assign_ranks(law, cfg.n_t, cfg.n_c,
                                 cfg.tie_prob_level1 if k == 0 else 0.0, rng_t)
-                  for k, log_omega in enumerate(self.log_omegas)]
+                  for k, law in enumerate(self.laws)]
         return GeneratedData(t_cols=[t for t, _ in levels], c_cols=[c for _, c in levels])
 
 

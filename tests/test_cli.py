@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,18 @@ class TestAnalyze:
         assert f"{h}: level 0: OutcomeSpec 'ebp': margin must be a number, got None" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("margin, rule", [(math.nan, "must be finite, got nan"),
+                                              (-1.0, "must be >= 0, got -1.0")])
+    def test_non_finite_or_negative_margin_exits_2(self, tmp_path, capsys, margin, rule):
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps({"schema": "wrlab/hierarchy-v1",
+                                 "levels": [{"name": "ddd", "kind": "continuous",
+                                             "direction": "lower-favorable", "margin": margin}]}))
+        assert main(["analyze", "--data", SAMPLE, "--hierarchy", str(h)]) == 2
+        err = capsys.readouterr().err
+        assert f"{h}: level 0: OutcomeSpec 'ddd': margin {rule}" in err
+        assert "Traceback" not in err
+
     def test_malformed_event_value_exits_2(self, tmp_path, capsys):
         h = tmp_path / "h.json"
         h.write_text(json.dumps({
@@ -135,6 +148,30 @@ class TestCalculators:
 
     def test_samplesize_invalid_domain_exit_2(self, capsys):
         assert main(["samplesize", "precision", "--width", "-1"]) == 2
+
+    @pytest.mark.parametrize("argv, named", [
+        (["samplesize", "precision", "--width", "nan"], "width must be finite and > 0, got nan"),
+        (["samplesize", "precision", "--width", "inf"], "width must be finite and > 0, got inf"),
+        (["samplesize", "yu", "--wr", "nan", "--power", "0.8"], "wr must be finite"),
+        (["samplesize", "yu", "--wr", "inf", "--power", "0.8"], "wr must be finite"),
+        (["samplesize", "mao", "--wr", "nan", "--xi0-sq", "0.3", "--w0", "0.5"],
+         "wr must be finite"),
+        (["samplesize", "mao", "--wr", "1.5", "--xi0-sq", "inf", "--w0", "0.5"],
+         "xi0_sq must be finite"),
+        (["power", "yu", "--wr", "1.5", "--n-total", "nan"], "n_total must be finite and >= 2"),
+        (["power", "mao", "--wr", "1.5", "--n-total", "inf", "--xi0-sq", "0.3", "--w0", "0.5"],
+         "n_total must be finite"),
+        (["calibrate", "weibull", "--time", "nan", "--survival", "0.7", "--shape", "4"],
+         "t must be > 0 and finite, got nan"),
+        (["calibrate", "weibull", "--time", "730", "--survival", "0.7", "--shape", "inf"],
+         "shape must be > 0 and finite, got inf"),
+        (["calibrate", "exponential", "--time", "inf", "--dropout", "0.1"],
+         "t must be > 0 and finite, got inf"),
+    ])
+    def test_non_finite_input_named_exit_2(self, capsys, argv, named):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
     def test_tie_sensitivity_table(self, tmp_path):
         out = tmp_path / "ties.csv"
@@ -216,6 +253,14 @@ class TestSimulateCommand:
                      "--format", fmt, "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA_DIR / f"golden_{preset}.{fmt}").read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_ranksim_output_byte_identical(self, tmp_path, fmt):
+        out = tmp_path / f"res.{fmt}"
+        assert main(["ranksim", "--n-t", "50", "--n-c", "50", "--phi", "0.55,0.6",
+                     "--tie-prob", "0.1", "--iterations", "20", "--seed", "1",
+                     "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA_DIR / f"golden_ranksim.{fmt}").read_bytes()
+
     @pytest.mark.parametrize("payload, named", [
         (["schema", "wrlab/grid-v1"], "JSON object"),
         ({"dgm": "binary-continuous", "deltas": ["x"]}, "'deltas'"),
@@ -231,6 +276,11 @@ class TestSimulateCommand:
         ({"preset": "iphak", "alpha": 0.1}, "'alpha'"),
         ({"preset": "iphak", "dgm": "iphak"}, "'dgm'"),
         ({"dgm": "binary-continuous", "p_treatments": [1.5]}, "p_treatment must be in [0, 1]"),
+        ({"dgm": "binary-continuous", "deltas": [math.inf]},
+         "'deltas' must be a non-empty list of finite numbers"),
+        ({"dgm": "binary-continuous", "deltas": [math.nan]}, "'deltas'"),
+        ({"dgm": "tte-composite", "hazard_ratios": [math.nan]}, "'hazard_ratios'"),
+        ({"dgm": "tte-composite", "hazard_ratios": [math.inf]}, "'hazard_ratios'"),
     ])
     def test_malformed_config_value_exit_2(self, tmp_path, capsys, payload, named):
         if isinstance(payload, dict):

@@ -45,6 +45,15 @@ class TestCalibration:
         with pytest.raises(InvalidInputError):
             exponential_scale_from_dropout(730, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_non_finite_or_non_positive_inputs_named(self, value):
+        for name, call in [("t", lambda: weibull_scale_from_survival(value, 0.7, 4)),
+                           ("shape", lambda: weibull_scale_from_survival(730, 0.7, value)),
+                           ("t", lambda: exponential_scale_from_dropout(value, 0.1)),
+                           ("hazard_ratio", lambda: default_plan(hr=value))]:
+            with pytest.raises(InvalidInputError, match=f"^{name} must be > 0 and finite"):
+                call()
+
 
 def default_plan(hr=1.0, round_to_days=False):
     return TtePlan(event=WeibullParams(weibull_scale_from_survival(730, 0.7, 4), 4.0),

@@ -117,6 +117,20 @@ class TestPrecision:
             precision_sample_size(0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name, call", [
+    ("wr", lambda v: yu_power(v, 200)), ("n_total", lambda v: yu_power(1.5, v)),
+    ("wr", lambda v: yu_sample_size(v, 0.8)), ("n_total", lambda v: precision_width(v)),
+    ("width", lambda v: precision_sample_size(v)),
+    ("wr", lambda v: mao_power(200, v, 0.3, 0.5)),
+    ("n_total", lambda v: mao_power(v, 1.5, 0.3, 0.5)),
+    ("xi0_sq", lambda v: mao_sample_size(1.5, 0.8, v, 0.5)),
+])
+def test_non_finite_input_named(name, call, value):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be finite and >=? "):
+        call(value)
+
+
 class TestMao:
     def test_agrees_with_yu_at_standard_rank_inputs(self):
         for wr, expected in MAO_EQ_YU.items():

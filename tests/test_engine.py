@@ -111,6 +111,8 @@ class TestDgmValidation:
         ({"p_control": -0.1}, "p_control must be in [0, 1], got -0.1"),
         ({"sd": 0.0}, "sd must be > 0, got 0.0"),
         ({"n_per_arm": 0}, "n_per_arm must be >= 1, got 0"),
+        ({"delta": math.inf}, "delta must be finite, got inf"),
+        ({"delta": math.nan}, "delta must be finite, got nan"),
     ])
     def test_binary_continuous_checked_on_construction(self, kwargs, message):
         with pytest.raises(InvalidInputError) as exc:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -178,15 +179,20 @@ class TestHierarchyConfig:
                                  "levels": [{"name": name, "kind": "continuous",
                                              "direction": "higher-favorable"}]})
 
-    @pytest.mark.parametrize("margin", [None, [1], True, "0.5"])
-    def test_level_margin_must_be_number(self, margin):
+    @pytest.mark.parametrize("margin, rule", [
+        (None, "must be a number, got None"), ([1], "must be a number, got [1]"),
+        (True, "must be a number, got True"), ("0.5", "must be a number, got '0.5'"),
+        (math.nan, "must be finite, got nan"), (math.inf, "must be finite, got inf"),
+        (-1.0, "must be >= 0, got -1.0"),
+    ], ids=["None", "margin1", "True", "0.5", "nan", "inf", "-1.0"])
+    def test_level_margin_must_be_number(self, margin, rule):
         # Checked by OutcomeSpec itself, so library hierarchies follow the same rule.
-        with pytest.raises(DatasetFormatError,
-                           match=r"level 0: OutcomeSpec 'x': margin must be a number, got "):
+        with pytest.raises(DatasetFormatError) as exc:
             hierarchy_from_dict({"schema": "wrlab/hierarchy-v1",
                                  "levels": [{"name": "x", "kind": "continuous",
                                              "direction": "higher-favorable",
                                              "margin": margin}]})
+        assert f"level 0: OutcomeSpec 'x': margin {rule}" in str(exc.value)
 
     def test_non_object_payload_or_level_rejected(self):
         with pytest.raises(DatasetFormatError, match="expected a JSON object"):

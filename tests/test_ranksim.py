@@ -7,7 +7,8 @@ from wrlab import ranksim
 from wrlab.core import compare_arms, win_ratio
 from wrlab.datagen import substream
 from wrlab.errors import InfeasibleParameterError, InvalidInputError
-from wrlab.ranksim import (RankSimConfig, _fnch_probs, rank_hierarchy,
+from wrlab.kernels import ln_choose
+from wrlab.ranksim import (RankDgm, RankSimConfig, _fnch_probs, _fnch_table, rank_hierarchy,
                            ranksim_power, simulate_rank_trial, solve_omega)
 
 
@@ -19,7 +20,8 @@ class TestSolveOmega:
     def test_achieves_requested_mean(self):
         omega = solve_omega(0.6, 50, 50)
         assert omega > 1.0
-        ks, probs = _fnch_probs(math.log(omega), 50, 50, 50)
+        ks, base = _fnch_table(50, 50)
+        probs = _fnch_probs(ks, base, math.log(omega))
         assert abs(float((ks * probs).sum()) / 50 - 0.6) < 1e-6
 
     def test_monotone_in_phi(self):
@@ -112,6 +114,27 @@ class TestRanksimPower:
                             n_bootstrap=50, n_iterations=6, seed=4)
         ranksim_power(cfg)
         assert calls == [0.6, 0.55]
+
+    def test_law_built_once(self, monkeypatch):
+        # Each level's law is tabulated on construction; datasets only draw from it.
+        def ln_choose_calls(n_iterations):
+            calls = []
+
+            def counting(n, k):
+                calls.append((n, k))
+                return ln_choose(n, k)
+            monkeypatch.setattr(ranksim, "ln_choose", counting)
+            ranksim_power(RankSimConfig(n_t=20, n_c=20, phi_win_per_level=(0.6, 0.55),
+                                        n_bootstrap=50, n_iterations=n_iterations, seed=4))
+            return len(calls)
+        assert ln_choose_calls(6) == ln_choose_calls(30)
+
+    def test_dgm_hashes_and_compares_on_cfg(self):
+        cfg = RankSimConfig(n_t=20, n_c=20, phi_win_per_level=(0.6, 0.55))
+        a, b = RankDgm(cfg), RankDgm(cfg)
+        assert a == b and hash(a) == hash(b)
+        assert a != RankDgm(RankSimConfig(n_t=20, n_c=20, phi_win_per_level=(0.6,)))
+        assert len(a.laws) == 2 and all(abs(probs.sum() - 1.0) < 1e-12 for _, probs in a.laws)
 
     def test_power_increases_with_arm_size(self):
         powers = []
