@@ -20,7 +20,7 @@ from pathlib import Path
 from . import design, engine, io, ranksim
 from .core import compare_arms, win_odds, win_ratio
 from .datagen import exponential_scale_from_dropout, weibull_scale_from_survival
-from .errors import DatasetFormatError, InvalidInputError, WrlabError
+from .errors import DatasetFormatError, InvalidInputError, WrlabError, _is_count, _is_real
 from .inference import (bootstrap_verdicts, infer_phi, phi_win, score_test_verdicts,
                         wald_test_log_wr, yu_wald_test)
 
@@ -142,18 +142,12 @@ def _cmd_ranksim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _is_number(value) -> bool:
-    return type(value) is int or (type(value) is float and math.isfinite(value))
-
-
 # What each grid-config key must hold; the engine's grid builders hold the defaults.
-_COUNT = (lambda v: type(v) is int and v >= 1, "an integer >= 1")
-_NUMBER = (_is_number, "a finite number")
-_NUMBERS = (lambda v: isinstance(v, list) and bool(v) and all(map(_is_number, v)),
+_NUMBERS = (lambda v: isinstance(v, list) and bool(v) and all(map(_is_real, v)),
             "a non-empty list of finite numbers")
-_GRID_KEYS = {"iterations": _COUNT, "n_per_arm": (lambda v: type(v) is int and v >= 2,
-                                                  "an integer >= 2"),
-              "alpha": _NUMBER, "p_control": _NUMBER,
+_GRID_KEYS = {"iterations": (_is_count, "an integer >= 1"),
+              "n_per_arm": (lambda v: _is_count(v, 2), "an integer >= 2"),
+              "alpha": (_is_real, "a finite number"), "p_control": (_is_real, "a finite number"),
               "deltas": _NUMBERS, "p_treatments": _NUMBERS, "hazard_ratios": _NUMBERS,
               "orders": (lambda v: isinstance(v, list) and bool(v), "a non-empty list")}
 # Each dgm's grid builder and the keys it reads.

@@ -15,14 +15,13 @@ level is a tie.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import AllTiesError, InvalidInputError
+from .errors import AllTiesError, InvalidInputError, _check_real
 
 
 class OutcomeKind(str, Enum):
@@ -61,15 +60,9 @@ class OutcomeSpec:
         if not isinstance(self.name, str) or not self.name:
             raise InvalidInputError(f"OutcomeSpec: name must be a non-empty string, "
                                     f"got {self.name!r}")
-        if isinstance(self.margin, bool) or not isinstance(self.margin, numbers.Real):
-            raise InvalidInputError(f"OutcomeSpec '{self.name}': margin must be a number, "
-                                    f"got {self.margin!r}")
-        if not math.isfinite(self.margin):
-            raise InvalidInputError(f"OutcomeSpec '{self.name}': margin must be finite, "
-                                    f"got {self.margin}")
-        if self.margin < 0.0:
-            raise InvalidInputError(f"OutcomeSpec '{self.name}': margin must be >= 0, "
-                                    f"got {self.margin}")
+        # Finiteness first, so that a NaN or infinite margin is named as such.
+        _check_real(f"OutcomeSpec '{self.name}': margin", self.margin)
+        _check_real(f"OutcomeSpec '{self.name}': margin", self.margin, 0.0, ends="[)")
         if self.kind is OutcomeKind.BINARY and self.margin != 0.0:
             raise InvalidInputError(f"OutcomeSpec '{self.name}': binary outcomes take margin 0")
 

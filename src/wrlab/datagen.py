@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Arm
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_count, _check_real
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
@@ -33,9 +33,8 @@ class WeibullParams:
     shape: float
 
     def __post_init__(self) -> None:
-        if self.scale <= 0.0 or self.shape <= 0.0:
-            raise InvalidInputError(f"Weibull scale and shape must be > 0, "
-                                    f"got scale={self.scale}, shape={self.shape}")
+        _check_real("scale", self.scale, 0.0)
+        _check_real("shape", self.shape, 0.0)
 
 
 def weibull_survival(t: float, params: WeibullParams) -> float:
@@ -48,25 +47,18 @@ def exponential_survival(t: float, scale: float) -> float:
     return math.exp(-t / scale)
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise InvalidInputError(f"{name} must be > 0 and finite, got {value}")
-
-
 def weibull_scale_from_survival(t: float, survival: float, shape: float) -> float:
     """Scale such that the Weibull survival at time t equals `survival`."""
-    _check_positive("t", t)
-    _check_positive("shape", shape)
-    if not 0.0 < survival < 1.0:
-        raise InvalidInputError(f"survival must be in (0, 1), got {survival}")
+    _check_real("t", t, 0.0)
+    _check_real("shape", shape, 0.0)
+    _check_real("survival", survival, 0.0, 1.0)
     return t / (-math.log(survival)) ** (1.0 / shape)
 
 
 def exponential_scale_from_dropout(t: float, p_drop: float) -> float:
     """Exponential scale giving dropout probability p_drop by time t."""
-    _check_positive("t", t)
-    if not 0.0 < p_drop < 1.0:
-        raise InvalidInputError(f"p_drop must be in (0, 1), got {p_drop}")
+    _check_real("t", t, 0.0)
+    _check_real("p_drop", p_drop, 0.0, 1.0)
     return t / (-math.log(1.0 - p_drop))
 
 
@@ -81,9 +73,8 @@ class TtePlan:
     round_to_days: bool = False
 
     def __post_init__(self) -> None:
-        _check_positive("hazard_ratio", self.hazard_ratio)
-        if self.censoring_scale <= 0.0 or self.follow_up <= 0.0:
-            raise InvalidInputError("censoring_scale and follow_up must be > 0")
+        for name in ("hazard_ratio", "censoring_scale", "follow_up"):
+            _check_real(name, getattr(self, name), 0.0)
 
 
 def event_params_for_arm(plan: TtePlan, arm: Arm) -> WeibullParams:
@@ -118,8 +109,7 @@ def _observe(event_times: np.ndarray, censor_times: np.ndarray,
 def gen_tte_arm(plan: TtePlan, arm: Arm, n: int, rng: np.random.Generator
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Observed (time, event) pairs for one arm under one event outcome."""
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
+    _check_count("n", n)
     event_times = _raw_event_times(event_params_for_arm(plan, arm), n, rng)
     return _observe(event_times, _censor_times(plan, n, rng), plan.round_to_days)
 
@@ -134,8 +124,7 @@ def gen_tte_composite_arm(plans: Sequence[TtePlan], arm: Arm, n: int,
     per patient (from the first plan) and shared by every level and by the
     first-event outcome.
     """
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
+    _check_count("n", n)
     if not plans:
         raise InvalidInputError("at least one outcome plan required")
     first = plans[0]
@@ -157,12 +146,10 @@ def gen_binary_continuous_arm(p: float, delta: float, sd: float, n: int,
     Higher values are favorable for both; pass delta = 0 for the control arm.
     The two outcomes are independent.
     """
-    if not 0.0 <= p <= 1.0:
-        raise InvalidInputError(f"p must be in [0, 1], got {p}")
-    if sd <= 0.0:
-        raise InvalidInputError(f"sd must be > 0, got {sd}")
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
+    _check_real("p", p, 0.0, 1.0, "[]")
+    _check_real("delta", delta)
+    _check_real("sd", sd, 0.0)
+    _check_count("n", n)
     binary = (rng.random(n) < p).astype(np.float64)
     continuous = rng.normal(delta * sd, sd, size=n)
     return binary, continuous
@@ -195,15 +182,13 @@ class IphakPlan:
     n_per_arm: int = 255
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.prevalence <= 1.0:
-            raise InvalidInputError(f"prevalence must be in [0, 1], got {self.prevalence}")
+        _check_real("prevalence", self.prevalence, 0.0, 1.0, "[]")
         for key, rate in self.ebp_rate.items():
-            if not 0.0 <= rate <= 1.0:
-                raise InvalidInputError(f"ebp_rate{key} must be in [0, 1], got {rate}")
-        if self.ddd_sd <= 0.0:
-            raise InvalidInputError(f"ddd_sd must be > 0, got {self.ddd_sd}")
-        if self.n_per_arm < 1:
-            raise InvalidInputError(f"n_per_arm must be >= 1, got {self.n_per_arm}")
+            _check_real(f"ebp_rate{key}", rate, 0.0, 1.0, "[]")
+        for key, mean in self.ddd_mean.items():
+            _check_real(f"ddd_mean{key}", mean)
+        _check_real("ddd_sd", self.ddd_sd, 0.0)
+        _check_count("n_per_arm", self.n_per_arm)
 
 
 def gen_iphak_arm(plan: IphakPlan, arm: Arm, rng: np.random.Generator

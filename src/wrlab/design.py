@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import _lex_ranks
 from .errors import (InfiniteSampleSizeError, InvalidInputError,
-                     UnboundedVarianceError)
+                     UnboundedVarianceError, _check_real)
 from .kernels import norm_cdf, norm_ppf
 
 
@@ -36,28 +36,8 @@ class SampleSize:
         return self.n_treatment + self.n_control
 
 
-def _check_above(name: str, value: float, low: float, closed: bool = False) -> None:
-    """A finite value above `low` (or equal to it when `closed`), else an error naming it."""
-    if not math.isfinite(value) or value < low or (value == low and not closed):
-        raise InvalidInputError(f"{name} must be finite and {'>=' if closed else '>'} {low:g}, "
-                                f"got {value}")
-
-
-def _check_allocation(p: float, name: str) -> None:
-    if not 0.0 < p < 1.0:
-        raise InvalidInputError(f"{name} must be in (0, 1), got {p}")
-
-
-def _check_tie(p_tie: float) -> None:
-    if not 0.0 <= p_tie < 1.0:
-        if p_tie >= 1.0:
-            raise UnboundedVarianceError(f"tie probability {p_tie} >= 1: variance unbounded")
-        raise InvalidInputError(f"p_tie must be in [0, 1), got {p_tie}")
-
-
 def _z_alpha(alpha: float, sidedness: str) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
+    _check_real("alpha", alpha, 0.0, 1.0)
     if sidedness == "two-sided":
         return norm_ppf(1.0 - alpha / 2.0)
     if sidedness == "one-sided":
@@ -67,8 +47,10 @@ def _z_alpha(alpha: float, sidedness: str) -> float:
 
 def yu_sigma_sq(p_t: float, p_tie: float) -> float:
     """sigma^2 = 4 (1 + p_tie) / (3 p_t (1 - p_t) (1 - p_tie))."""
-    _check_allocation(p_t, "p_t")
-    _check_tie(p_tie)
+    _check_real("p_t", p_t, 0.0, 1.0)
+    _check_real("p_tie", p_tie, 0.0, ends="[)")
+    if p_tie >= 1.0:
+        raise UnboundedVarianceError(f"tie probability {p_tie} >= 1: variance unbounded")
     return 4.0 * (1.0 + p_tie) / (3.0 * p_t * (1.0 - p_t) * (1.0 - p_tie))
 
 
@@ -76,8 +58,8 @@ def yu_power(wr: float, n_total: float, p_t: float = 0.5, p_tie: float = 0.0,
              alpha: float = 0.05, sidedness: str = "two-sided",
              variant: str = "as-written") -> float:
     """Power of the log-WR Wald test under the approximate variance."""
-    _check_above("wr", wr, 0.0)
-    _check_above("n_total", n_total, 2.0, closed=True)
+    _check_real("wr", wr, 0.0)
+    _check_real("n_total", n_total, 2.0, ends="[)")
     if variant not in ("as-written", "symmetric"):
         raise InvalidInputError(f"variant must be 'as-written' or 'symmetric', got {variant!r}")
     log_wr = math.log(wr)
@@ -97,11 +79,10 @@ def _split_arms(n_unrounded: float, p_t: float) -> SampleSize:
 def yu_sample_size(wr: float, power: float, p_t: float = 0.5, p_tie: float = 0.0,
                    alpha: float = 0.05, sidedness: str = "two-sided") -> SampleSize:
     """Total sample size N = sigma^2 (Z_{1-a/2} + Z_{1-b})^2 / log(WR)^2."""
-    _check_above("wr", wr, 0.0)
+    _check_real("wr", wr, 0.0)
     if wr == 1.0:
         raise InfiniteSampleSizeError("wr = 1: required sample size is infinite")
-    if not 0.0 < power < 1.0:
-        raise InvalidInputError(f"power must be in (0, 1), got {power}")
+    _check_real("power", power, 0.0, 1.0)
     z_a = _z_alpha(alpha, sidedness)
     z_b = norm_ppf(power)
     n = yu_sigma_sq(p_t, p_tie) * (z_a + z_b) ** 2 / math.log(wr) ** 2
@@ -111,7 +92,7 @@ def yu_sample_size(wr: float, power: float, p_t: float = 0.5, p_tie: float = 0.0
 def precision_width(n_total: float, p_t: float = 0.5, p_tie: float = 0.0,
                     alpha: float = 0.05) -> float:
     """Expected total width of the two-sided Wald CI for log(WR)."""
-    _check_above("n_total", n_total, 2.0, closed=True)
+    _check_real("n_total", n_total, 2.0, ends="[)")
     z = _z_alpha(alpha, "two-sided")
     return 2.0 * z * math.sqrt(yu_sigma_sq(p_t, p_tie) / n_total)
 
@@ -122,17 +103,16 @@ def precision_sample_size(width: float, p_t: float = 0.5, p_tie: float = 0.0,
 
     Independent of the anticipated WR by construction.
     """
-    _check_above("width", width, 0.0)
+    _check_real("width", width, 0.0)
     z = _z_alpha(alpha, "two-sided")
     n = 4.0 * z * z * yu_sigma_sq(p_t, p_tie) / (width * width)
     return _split_arms(n, p_t)
 
 
 def _check_mao(wr: float, xi0_sq: float, w0: float) -> None:
-    _check_above("xi0_sq", xi0_sq, 0.0)
-    if not 0.0 < w0 <= 1.0:
-        raise InvalidInputError(f"w0 must be in (0, 1], got {w0}")
-    _check_above("wr", wr, 0.0)
+    _check_real("xi0_sq", xi0_sq, 0.0)
+    _check_real("w0", w0, 0.0, 1.0, "(]")
+    _check_real("wr", wr, 0.0)
 
 
 def mao_power(n_total: float, wr: float, xi0_sq: float, w0: float,
@@ -140,8 +120,8 @@ def mao_power(n_total: float, wr: float, xi0_sq: float, w0: float,
     """Power via the rank-variance method:
     Phi(W0 log(WR) sqrt(p_c (1-p_c) N) / xi0 - Z_{1-a/2})."""
     _check_mao(wr, xi0_sq, w0)
-    _check_above("n_total", n_total, 2.0, closed=True)
-    _check_allocation(p_c, "p_c")
+    _check_real("n_total", n_total, 2.0, ends="[)")
+    _check_real("p_c", p_c, 0.0, 1.0)
     z_a = _z_alpha(alpha, "two-sided")
     ncp = w0 * math.log(wr) * math.sqrt(p_c * (1.0 - p_c) * n_total) / math.sqrt(xi0_sq)
     return norm_cdf(ncp - z_a)
@@ -153,9 +133,8 @@ def mao_sample_size(wr: float, power: float, xi0_sq: float, w0: float,
     _check_mao(wr, xi0_sq, w0)
     if wr == 1.0:
         raise InfiniteSampleSizeError("wr = 1: required sample size is infinite")
-    if not 0.0 < power < 1.0:
-        raise InvalidInputError(f"power must be in (0, 1), got {power}")
-    _check_allocation(p_c, "p_c")
+    _check_real("power", power, 0.0, 1.0)
+    _check_real("p_c", p_c, 0.0, 1.0)
     z_a = _z_alpha(alpha, "two-sided")
     z_b = norm_ppf(power)
     n = xi0_sq * (z_b + z_a) ** 2 / (p_c * (1.0 - p_c) * w0 * w0 * math.log(wr) ** 2)

@@ -22,7 +22,7 @@ from . import datagen
 from .core import (Arm, ArmComparison, Direction, Hierarchy, LevelColumn, OutcomeKind,
                    OutcomeSpec, WinStats, compare_arms, win_ratio)
 from .datagen import IphakPlan, TtePlan, WeibullParams, substream
-from .errors import InvalidInputError, WrlabError
+from .errors import InvalidInputError, WrlabError, _check_count, _check_real
 from .inference import (bootstrap_verdicts, infer_phi, score_test_verdicts,
                         wald_test_log_wr, yu_wald_test)
 from .stattests import (SurvivalSample, TwoByTwoTable, chi_square_test,
@@ -43,15 +43,14 @@ DEFAULT_BOOTSTRAP_REPLICATES = 500
 
 def mcse(power: float, n_iterations: int) -> float:
     """Monte Carlo standard error sqrt(p (1 - p) / n)."""
-    if n_iterations < 1:
-        raise InvalidInputError(f"n_iterations must be >= 1, got {n_iterations}")
+    _check_count("n_iterations", n_iterations)
+    _check_real("power", power, 0.0, 1.0, "[]")
     return math.sqrt(power * (1.0 - power) / n_iterations)
 
 
 def required_iterations(target_mcse: float) -> int:
     """Iterations for a worst-case (power = 1/2) MCSE at most target_mcse."""
-    if target_mcse <= 0.0:
-        raise InvalidInputError(f"target_mcse must be > 0, got {target_mcse}")
+    _check_real("target_mcse", target_mcse, 0.0)
     return math.ceil(0.25 / (target_mcse * target_mcse))
 
 
@@ -94,15 +93,11 @@ class BinaryContinuousDgm:
     binary_first: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("p_treatment", "p_control"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise InvalidInputError(f"{name} must be in [0, 1], got {getattr(self, name)}")
-        if not math.isfinite(self.delta):
-            raise InvalidInputError(f"delta must be finite, got {self.delta}")
-        if not self.sd > 0.0:
-            raise InvalidInputError(f"sd must be > 0, got {self.sd}")
-        if self.n_per_arm < 1:
-            raise InvalidInputError(f"n_per_arm must be >= 1, got {self.n_per_arm}")
+        _check_real("p_treatment", self.p_treatment, 0.0, 1.0, "[]")
+        _check_real("p_control", self.p_control, 0.0, 1.0, "[]")
+        _check_real("delta", self.delta)
+        _check_real("sd", self.sd, 0.0)
+        _check_count("n_per_arm", self.n_per_arm)
 
     def hierarchy(self) -> Hierarchy:
         binary = OutcomeSpec("binary", OutcomeKind.BINARY, Direction.HIGHER)
@@ -138,6 +133,7 @@ class TteCompositeDgm:
     plans: tuple[TtePlan, TtePlan] = field(init=False)
 
     def __post_init__(self) -> None:
+        _check_count("n_per_arm", self.n_per_arm)
         object.__setattr__(self, "plans", tuple(
             TtePlan(event, hr, self.censoring_scale, self.follow_up, self.round_to_days)
             for event, hr in ((self.first, self.hr_first), (self.second, self.hr_second))))
@@ -188,8 +184,7 @@ class Scenario:
     factors: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidInputError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_real("alpha", self.alpha, 0.0, 1.0)
         for m in self.methods:
             if m not in WR_METHODS + COMPARATOR_METHODS:
                 raise InvalidInputError(f"unknown analysis method {m!r}")
@@ -200,9 +195,8 @@ class Scenario:
             n = (self.dgm.plan if isinstance(self.dgm, IphakDgm) else self.dgm).n_per_arm
             if n < 2:
                 raise InvalidInputError(f"method 't-test' needs n_per_arm >= 2, got {n}")
-        if "wr-unmatched:bootstrap" in self.methods and self.bootstrap_replicates < 2:
-            raise InvalidInputError(f"bootstrap needs bootstrap_replicates >= 2, "
-                                    f"got {self.bootstrap_replicates}")
+        if "wr-unmatched:bootstrap" in self.methods:
+            _check_count("bootstrap_replicates", self.bootstrap_replicates, 2)
 
 
 def _wilson_ci_excludes_one(stats: WinStats, alpha: float) -> bool:
@@ -252,8 +246,7 @@ def run_scenario(scenario: Scenario, n_iterations: int, master_seed: int,
     Per-iteration analysis failures (any `WrlabError`) are counted per method
     and never abort the run; any other exception propagates.
     """
-    if n_iterations < 1:
-        raise InvalidInputError(f"n_iterations must be >= 1, got {n_iterations}")
+    _check_count("n_iterations", n_iterations)
     h = scenario.dgm.hierarchy()
     wr_requested = [m for m in scenario.methods if m in WR_METHODS]
     rejections = {m: 0 for m in scenario.methods}
@@ -307,8 +300,7 @@ def run_scenario(scenario: Scenario, n_iterations: int, master_seed: int,
 
 def _workers(threads: int, cells: int) -> int:
     """Worker processes for a grid: no more than its cells or this machine's CPUs."""
-    if threads < 1:
-        raise InvalidInputError(f"threads must be >= 1, got {threads}")
+    _check_count("threads", threads)
     return min(threads, cells, os.cpu_count() or 1)
 
 

@@ -17,7 +17,8 @@ import numpy as np
 from . import design
 from .core import (ArmComparison, Hierarchy, LevelColumn, PatientRecord, WinStats,
                    compare_arms, split_dataset, win_ratio)
-from .errors import AllTiesError, DegenerateCountsError, InvalidInputError
+from .errors import (AllTiesError, DegenerateCountsError, InvalidInputError, _check_count,
+                     _check_real)
 from .kernels import norm_ppf, norm_sf
 from .stattests import TestResult
 
@@ -71,18 +72,13 @@ def _phi_to_wr(x: float) -> float:
     return max(x, 0.0) / (1.0 - max(x, 0.0))
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError(f"alpha must be in (0, 1), got {alpha}")
-
-
 def infer_phi(s: WinStats, alpha: float = 0.05, ci_method: str = "wilson") -> InferenceResult:
     """CI for phi_win (Wald or Wilson), back-transformed to the WR scale.
 
     The z statistic tests phi = 1/2, i.e. WR = 1. Wald degenerates when
     phi is 0 or 1 (flagged); the Wilson interval remains valid there.
     """
-    _check_alpha(alpha)
+    _check_real("alpha", alpha, 0.0, 1.0)
     if ci_method not in ("wald", "wilson"):
         raise InvalidInputError(f"ci_method must be 'wald' or 'wilson', got {ci_method!r}")
     p = phi_win(s)
@@ -117,9 +113,8 @@ def infer_phi(s: WinStats, alpha: float = 0.05, ci_method: str = "wilson") -> In
 def _log_wald(s: WinStats, wr0: float, alpha: float,
               var_log: Callable[[WinStats], float], method: str) -> InferenceResult:
     """Wald test of WR = wr0 on the log scale, with the caller's Var(log WR)."""
-    _check_alpha(alpha)
-    if wr0 <= 0.0:
-        raise InvalidInputError(f"wr0 must be > 0, got {wr0}")
+    _check_real("alpha", alpha, 0.0, 1.0)
+    _check_real("wr0", wr0, 0.0)
     if s.n_win == 0 or s.n_loss == 0:
         raise DegenerateCountsError(
             "zero wins or losses: log-WR Wald inference is undefined; use bootstrap_wr")
@@ -187,9 +182,8 @@ def bootstrap_verdicts(cmp: ArmComparison, b: int, alpha: float,
     Resamples patients with replacement within each arm and builds a
     percentile CI at level alpha. `rng` is a Generator or a seed for it.
     """
-    _check_alpha(alpha)
-    if b < 2:
-        raise InvalidInputError(f"bootstrap needs b >= 2 replicates, got {b}")
+    _check_real("alpha", alpha, 0.0, 1.0)
+    _check_count("b", b, 2)
     wins, losses = _replicate_tallies(cmp.cross(), b, np.random.default_rng(rng))
     valid = losses > 0  # a replicate without losses has no finite WR
     n_valid = int(valid.sum())

@@ -106,30 +106,27 @@ def _gamma_cf(a: float, x: float) -> float:
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
+def _gammainc(a: float, x: float) -> tuple[float, float]:
+    """(P(a, x), Q(a, x)): the expansion that converges gives one side, 1 minus it the other."""
+    if a <= 0.0 or x < 0.0:
+        raise InvalidInputError(f"gammainc: need a > 0 and x >= 0, got a={a}, x={x}")
+    if x == 0.0:
+        return 0.0, 1.0
+    if x < a + 1.0:
+        p = _gamma_series(a, x)
+        return p, 1.0 - p
+    q = _gamma_cf(a, x)
+    return 1.0 - q, q
+
+
 def gammainc_lower(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0.0:
-        raise InvalidInputError(f"gammainc_lower: a must be > 0, got {a}")
-    if x < 0.0:
-        raise InvalidInputError(f"gammainc_lower: x must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_cf(a, x)
+    return _gammainc(a, x)[0]
 
 
 def gammainc_upper(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x), accurate in the far tail."""
-    if a <= 0.0:
-        raise InvalidInputError(f"gammainc_upper: a must be > 0, got {a}")
-    if x < 0.0:
-        raise InvalidInputError(f"gammainc_upper: x must be >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_cf(a, x)
+    return _gammainc(a, x)[1]
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -189,42 +186,36 @@ def betainc_reg(a: float, b: float, x: float) -> float:
 
 def t_cdf(x: float, df: float) -> float:
     """CDF of Student's t with df degrees of freedom (df may be non-integer)."""
-    if df <= 0.0:
-        raise InvalidInputError(f"t_cdf: df must be > 0, got {df}")
-    if math.isnan(x):
-        raise InvalidInputError("t_cdf: x must not be NaN")
-    if math.isinf(x):
-        return 1.0 if x > 0 else 0.0
-    ib = betainc_reg(0.5 * df, 0.5, df / (df + x * x))
-    return 1.0 - 0.5 * ib if x >= 0.0 else 0.5 * ib
+    return t_sf(-x, df)
 
 
 def t_sf(x: float, df: float) -> float:
     """Upper tail of Student's t, without cancellation for large x."""
     if df <= 0.0:
-        raise InvalidInputError(f"t_sf: df must be > 0, got {df}")
+        raise InvalidInputError(f"t: df must be > 0, got {df}")
+    if math.isnan(x):
+        raise InvalidInputError("t: x must not be NaN")
     if math.isinf(x):
         return 0.0 if x > 0 else 1.0
     ib = betainc_reg(0.5 * df, 0.5, df / (df + x * x))
     return 0.5 * ib if x >= 0.0 else 1.0 - 0.5 * ib
 
 
+def _chi2(x: float, df: float) -> tuple[float, float]:
+    """(CDF, upper tail) of the chi-square distribution with df degrees of freedom."""
+    if df <= 0.0:
+        raise InvalidInputError(f"chi2: df must be > 0, got {df}")
+    return (0.0, 1.0) if x < 0.0 else _gammainc(0.5 * df, 0.5 * x)
+
+
 def chi2_cdf(x: float, df: float) -> float:
     """CDF of the chi-square distribution with df degrees of freedom."""
-    if df <= 0.0:
-        raise InvalidInputError(f"chi2_cdf: df must be > 0, got {df}")
-    if x < 0.0:
-        return 0.0
-    return gammainc_lower(0.5 * df, 0.5 * x)
+    return _chi2(x, df)[0]
 
 
 def chi2_sf(x: float, df: float) -> float:
     """Upper tail of the chi-square distribution, accurate for large x."""
-    if df <= 0.0:
-        raise InvalidInputError(f"chi2_sf: df must be > 0, got {df}")
-    if x < 0.0:
-        return 1.0
-    return gammainc_upper(0.5 * df, 0.5 * x)
+    return _chi2(x, df)[1]
 
 
 def ln_choose(n: int, k: int) -> float:

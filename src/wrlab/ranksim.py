@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .core import Direction, Hierarchy, OutcomeKind, OutcomeSpec
 from .engine import GeneratedData, PowerResult, Scenario, run_scenario
-from .errors import InfeasibleParameterError, InvalidInputError
+from .errors import InfeasibleParameterError, InvalidInputError, _check_count, _check_real
 from .kernels import ln_choose
 
 
@@ -37,21 +38,16 @@ class RankSimConfig:
     seed: int = 123456789
 
     def __post_init__(self) -> None:
-        if self.n_t < 1 or self.n_c < 1:
-            raise InvalidInputError("arm sizes must be >= 1")
+        for name, least in (("n_t", 1), ("n_c", 1), ("n_bootstrap", 2), ("n_iterations", 1)):
+            _check_count(name, getattr(self, name), least)
+        # A tuple, so that a config given a list still hashes.
+        object.__setattr__(self, "phi_win_per_level", tuple(self.phi_win_per_level))
         if not 1 <= len(self.phi_win_per_level) <= 2:
             raise InvalidInputError("phi_win_per_level takes one or two levels")
         for phi in self.phi_win_per_level:
-            if not 0.0 < phi < 1.0:
-                raise InvalidInputError(f"phi_win must be in (0, 1), got {phi}")
-        if not 0.0 <= self.tie_prob_level1 < 1.0:
-            raise InvalidInputError(f"tie_prob_level1 must be in [0, 1), got {self.tie_prob_level1}")
-        if self.n_bootstrap < 2:
-            raise InvalidInputError("n_bootstrap must be >= 2")
-        if self.n_iterations < 1:
-            raise InvalidInputError("n_iterations must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidInputError(f"alpha must be in (0, 1), got {self.alpha}")
+            _check_real("phi_win", phi, 0.0, 1.0)
+        _check_real("tie_prob_level1", self.tie_prob_level1, 0.0, 1.0, "[)")
+        _check_real("alpha", self.alpha, 0.0, 1.0)
 
 
 def _top_half(n_total: int) -> int:
@@ -83,8 +79,7 @@ def solve_omega(phi_win: float, n_t: int, n_c: int, tol: float = 1e-8) -> float:
     The mean is strictly increasing in the odds, so bisection on log(odds)
     converges; shares outside the open support range are infeasible.
     """
-    if not 0.0 < phi_win < 1.0:
-        raise InvalidInputError(f"phi_win must be in (0, 1), got {phi_win}")
+    _check_real("phi_win", phi_win, 0.0, 1.0)
     ks, base = _fnch_table(n_t, n_c)
     lo_share, hi_share = int(ks[0]) / n_t, int(ks[-1]) / n_t
     if not lo_share < phi_win < hi_share:
@@ -171,10 +166,14 @@ class RankDgm:
         return GeneratedData(t_cols=[t for t, _ in levels], c_cols=[c for _, c in levels])
 
 
+# Trials drawn one by one under a config share its model, so its odds are solved once.
+_trial_dgm = lru_cache(maxsize=8)(RankDgm)
+
+
 def simulate_rank_trial(cfg: RankSimConfig, rng: np.random.Generator
                         ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Rank columns for one simulated trial: ([t per level], [c per level])."""
-    data = RankDgm(cfg).generate(rng, rng)
+    data = _trial_dgm(cfg).generate(rng, rng)
     return data.t_cols, data.c_cols
 
 

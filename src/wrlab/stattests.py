@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, UndefinedStatisticError
+from .errors import InvalidInputError, UndefinedStatisticError, _check_count
 from .kernels import chi2_sf, hypergeom_pmf, hypergeom_support, t_sf
 
 
@@ -31,9 +31,8 @@ class TwoByTwoTable:
     d: int  # control, second outcome level
 
     def __post_init__(self) -> None:
-        for v in (self.a, self.b, self.c, self.d):
-            if v < 0 or v != int(v):
-                raise InvalidInputError(f"table counts must be nonnegative integers, got {v}")
+        for name in "abcd":
+            _check_count(name, getattr(self, name), 0)
         if self.a + self.b + self.c + self.d < 1:
             raise InvalidInputError("table total must be >= 1")
 

@@ -162,11 +162,11 @@ class TestCalculators:
         (["power", "mao", "--wr", "1.5", "--n-total", "inf", "--xi0-sq", "0.3", "--w0", "0.5"],
          "n_total must be finite"),
         (["calibrate", "weibull", "--time", "nan", "--survival", "0.7", "--shape", "4"],
-         "t must be > 0 and finite, got nan"),
+         "t must be finite and > 0, got nan"),
         (["calibrate", "weibull", "--time", "730", "--survival", "0.7", "--shape", "inf"],
-         "shape must be > 0 and finite, got inf"),
+         "shape must be finite and > 0, got inf"),
         (["calibrate", "exponential", "--time", "inf", "--dropout", "0.1"],
-         "t must be > 0 and finite, got inf"),
+         "t must be finite and > 0, got inf"),
     ])
     def test_non_finite_input_named_exit_2(self, capsys, argv, named):
         assert main(argv) == 2

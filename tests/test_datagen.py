@@ -50,8 +50,17 @@ class TestCalibration:
         for name, call in [("t", lambda: weibull_scale_from_survival(value, 0.7, 4)),
                            ("shape", lambda: weibull_scale_from_survival(730, 0.7, value)),
                            ("t", lambda: exponential_scale_from_dropout(value, 0.1)),
-                           ("hazard_ratio", lambda: default_plan(hr=value))]:
-            with pytest.raises(InvalidInputError, match=f"^{name} must be > 0 and finite"):
+                           ("hazard_ratio", lambda: default_plan(hr=value)),
+                           ("scale", lambda: WeibullParams(value, 4.0)),
+                           ("censoring_scale", lambda: TtePlan(WeibullParams(900.0, 4.0), 1.0,
+                                                               value, 730.0)),
+                           ("follow_up", lambda: TtePlan(WeibullParams(900.0, 4.0), 1.0,
+                                                         7000.0, value)),
+                           ("sd", lambda: gen_binary_continuous_arm(0.5, 0.0, value, 10,
+                                                                    substream(1, 0))),
+                           ("ddd_sd", lambda: IphakPlan(ddd_sd=value))]:
+            with pytest.raises(InvalidInputError,
+                               match=f"^{name} must be (finite and )?> 0, got {value}$"):
                 call()
 
 

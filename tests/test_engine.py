@@ -3,6 +3,7 @@ import math
 import pytest
 
 from wrlab import engine
+from wrlab.core import Arm
 from wrlab.datagen import IphakPlan
 from wrlab.engine import (BinaryContinuousDgm, IphakDgm, Scenario,
                           TteCompositeDgm, binary_continuous_grid,
@@ -28,6 +29,18 @@ class TestMcse:
             mcse(0.5, 0)
         with pytest.raises(InvalidInputError):
             required_iterations(0.0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: mcse(math.nan, 10), "power must be finite and in [0, 1], got nan"),
+        (lambda: mcse(1.5, 10), "power must be in [0, 1], got 1.5"),
+        (lambda: mcse(0.5, 2.5), "n_iterations must be an integer >= 1, got 2.5"),
+        (lambda: required_iterations(math.inf), "target_mcse must be finite and > 0, got inf"),
+        (lambda: required_iterations(math.nan), "target_mcse must be finite and > 0, got nan"),
+    ])
+    def test_out_of_domain_input_named(self, call, message):
+        with pytest.raises(InvalidInputError) as exc:
+            call()
+        assert message in str(exc.value)
 
 
 class TestPresets:
@@ -91,6 +104,8 @@ class TestScenarioValidation:
         dgm = BinaryContinuousDgm(p_treatment=0.5, delta=0.5)
         with pytest.raises(InvalidInputError, match="bootstrap_replicates"):
             Scenario("bad", dgm, ("wr-unmatched:bootstrap",), bootstrap_replicates=1)
+        with pytest.raises(InvalidInputError, match="bootstrap_replicates must be an integer"):
+            Scenario("bad", dgm, ("wr-unmatched:bootstrap",), bootstrap_replicates=2.5)
         # The replicate count only matters when the bootstrap runs.
         Scenario("ok", dgm, ("wr-unmatched:yu",), bootstrap_replicates=1)
 
@@ -113,6 +128,9 @@ class TestDgmValidation:
         ({"n_per_arm": 0}, "n_per_arm must be >= 1, got 0"),
         ({"delta": math.inf}, "delta must be finite, got inf"),
         ({"delta": math.nan}, "delta must be finite, got nan"),
+        ({"sd": math.inf}, "sd must be finite and > 0, got inf"),
+        ({"n_per_arm": 2.5}, "n_per_arm must be an integer >= 1, got 2.5"),
+        ({"p_treatment": "0.5"}, "p_treatment must be a number, got '0.5'"),
     ])
     def test_binary_continuous_checked_on_construction(self, kwargs, message):
         with pytest.raises(InvalidInputError) as exc:
@@ -125,6 +143,17 @@ class TestDgmValidation:
         assert [p.event for p in dgm.plans] == [dgm.first, dgm.second]
         with pytest.raises(InvalidInputError, match="hazard_ratio must be > 0"):
             TteCompositeDgm(hr_first=0.5, hr_second=-1.0)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TteCompositeDgm(0.5, 0.5, n_per_arm=0), "n_per_arm must be >= 1, got 0"),
+        (lambda: IphakPlan(n_per_arm=2.5), "n_per_arm must be an integer >= 1, got 2.5"),
+        (lambda: IphakPlan(ddd_mean={**IphakPlan().ddd_mean, (Arm.CONTROL, True): math.inf}),
+         "must be finite, got inf"),
+    ], ids=["tte-n_per_arm", "iphak-n_per_arm", "iphak-ddd_mean"])
+    def test_other_models_checked_on_construction(self, build, message):
+        with pytest.raises(InvalidInputError) as exc:
+            build()
+        assert message in str(exc.value)
 
 
 class TestRunScenario:

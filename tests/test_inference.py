@@ -106,7 +106,7 @@ class TestYuWaldTest:
 
 
 @pytest.mark.parametrize("test", [wald_test_log_wr, yu_wald_test])
-@pytest.mark.parametrize("wr0", [0.0, -1.0])
+@pytest.mark.parametrize("wr0", [0.0, -1.0, math.nan, math.inf])
 def test_wald_tests_reject_nonpositive_wr0(test, wr0):
     with pytest.raises(InvalidInputError, match="wr0"):
         test(stats(30, 20, 5), wr0=wr0)

@@ -77,4 +77,6 @@ def test_domain_errors():
     with pytest.raises(InvalidInputError):
         chi2_cdf(1.0, -2.0)
     with pytest.raises(InvalidInputError):
+        t_sf(math.nan, 3.0)
+    with pytest.raises(InvalidInputError):
         hypergeom_pmf(1, 10, 12, 5)

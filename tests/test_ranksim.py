@@ -74,6 +74,29 @@ class TestSimulateRankTrial:
             shares.append((t_cols[0] <= 25).mean())
         assert abs(np.mean(shares) - 0.5) < 0.015
 
+    def test_trials_share_one_model(self, monkeypatch):
+        # Each level's odds are solved once per config, not once per trial, and a
+        # config given a list hashes; the ranks are those of a model built per trial.
+        cfg = self.cfg(n_t=25, n_c=25, phi_win_per_level=[0.6, 0.55], tie_prob_level1=0.2)
+        assert hash(cfg) == hash(self.cfg(n_t=25, n_c=25, phi_win_per_level=(0.6, 0.55),
+                                          tie_prob_level1=0.2))
+        expected = []
+        for i in range(30):
+            rng = substream(21, i)
+            data = RankDgm(cfg).generate(rng, rng)
+            expected.append(data.t_cols + data.c_cols)
+        calls = []
+
+        def counting(phi, n_t, n_c):
+            calls.append(phi)
+            return solve_omega(phi, n_t, n_c)
+        monkeypatch.setattr(ranksim, "solve_omega", counting)
+        ranksim._trial_dgm.cache_clear()
+        for i, want in enumerate(expected):
+            t_cols, c_cols = simulate_rank_trial(cfg, substream(21, i))
+            assert all(np.array_equal(a, b) for a, b in zip(t_cols + c_cols, want, strict=True))
+        assert calls == [0.6, 0.55]
+
     def test_wr_increases_with_phi(self):
         mean_wr = []
         for phi in (0.5, 0.55, 0.6):
@@ -151,3 +174,7 @@ class TestRanksimPower:
             RankSimConfig(n_t=10, n_c=10, phi_win_per_level=(0.5, 0.5, 0.5))
         with pytest.raises(InvalidInputError):
             RankSimConfig(n_t=10, n_c=10, phi_win_per_level=(1.2,))
+        with pytest.raises(InvalidInputError, match="n_t must be an integer >= 1, got 2.5"):
+            RankSimConfig(n_t=2.5, n_c=10, phi_win_per_level=(0.5,))
+        with pytest.raises(InvalidInputError, match="n_bootstrap must be an integer >= 2"):
+            RankSimConfig(n_t=10, n_c=10, phi_win_per_level=(0.5,), n_bootstrap=2.5)

@@ -226,6 +226,8 @@ class TestTwoByTwoTable:
             TwoByTwoTable(-1, 2, 3, 4)
         with pytest.raises(InvalidInputError):
             TwoByTwoTable(0, 0, 0, 0)
+        with pytest.raises(InvalidInputError, match="^a must be an integer >= 0, got nan$"):
+            TwoByTwoTable(math.nan, 1, 1, 1)
 
 
 def test_chi_square_null_calibration_and_fisher_conservatism():
