@@ -328,13 +328,14 @@ def _rank_comparison(keys: list[np.ndarray], n_t: int) -> ArmComparison:
 _BLOCK_PAIRS = 1 << 18  # pairs per block of the pooled cascade: bounds its working memory
 
 
-def _matrix_comparison(pooled: Sequence[LevelColumn], n_t: int, h: Hierarchy) -> ArmComparison:
-    """Censored or margined hierarchies: the level cascade over the pooled pairs, a block
-    of rows at a time. v(j, i) = -v(i, j) exactly, so a block meets only the columns from
-    its first row on, and its column sums past the block count against those columns. No
-    block straddles the arms; the treatment blocks' control columns give the level counts."""
+def _cascade_scores(pooled: Sequence[LevelColumn], n_t: int, h: Hierarchy
+                    ) -> tuple[np.ndarray, list[int]]:
+    """The level cascade over the pooled pairs, a block of rows at a time. v(j, i) = -v(i, j)
+    exactly, so a block meets only the columns from its first row on, and its column sums
+    past the block count against those columns. No block straddles the arms; the treatment
+    blocks' control columns give the level counts."""
     n = _size(pooled[0])
-    n_c, step = n - n_t, max(1, _BLOCK_PAIRS // n)
+    step = max(1, _BLOCK_PAIRS // n)
     u, decided = np.zeros(n, dtype=np.int64), np.zeros(len(h), dtype=np.int64)
     for start in [*range(0, n_t, step), *range(n_t, n, step)]:
         stop = min(start + step, n_t if start < n_t else n)
@@ -343,8 +344,203 @@ def _matrix_comparison(pooled: Sequence[LevelColumn], n_t: int, h: Hierarchy) ->
         u[start:stop] += net.sum(axis=1, dtype=np.int64)
         u[stop:] -= net[:, stop - start:].sum(axis=0, dtype=np.int64)
         decided += counts
+    return u, decided.tolist()
+
+
+# Cross pairs from which a one- or two-level hierarchy is counted by sorting rather than by
+# the cascade: below about 330 per arm the sorts and the tables cost more than the cascade.
+_COUNT_PAIRS = 350 * 350
+_TABLE_BITS = 1 << 22  # bits of one dominance table: bounds the counting path's working memory
+_QUERY_ROWS = 4096  # rows per batch of dominance queries: bounds their temporaries
+
+
+@dataclass(frozen=True)
+class _Interval:
+    """A level's relation R(i, j) for every pooled row i as an interval of the level's order
+    (patients by ascending value): j is in it iff `row_gate[i]`, `col_gate[j]` (None: always)
+    and j's place in the order is below `bound[i]` (a prefix) or at least it (a suffix)."""
+
+    order: np.ndarray
+    bound: np.ndarray
+    prefix: bool
+    row_gate: np.ndarray | None
+    col_gate: np.ndarray | None
+
+
+def _settle(k: np.ndarray, inside: Callable, size: int) -> np.ndarray:
+    """The end of the run of positions 0, 1, ... on which the predicate `inside(rows, pos)`
+    holds, one per row, moved from a guess `k` near it; the predicate must be monotone."""
+    for step, edge in ((1, size), (-1, 0)):
+        rows = np.flatnonzero(k != edge)
+        while rows.size:
+            rows = rows[inside(rows, k[rows] - (step < 0)) == (step > 0)]
+            k[rows] += step
+            rows = rows[k[rows] != edge]
+    return k
+
+
+def _level_intervals(spec: OutcomeSpec, col: LevelColumn) -> tuple[_Interval, _Interval]:
+    """(F, G) of one level: F(i, j) = i beats j read higher-favorable, a prefix of the order
+    of ascending value (time), and G(i, j) = F(j, i), a suffix of it. Each boundary is the
+    guess of a binary search, settled with the cascade's own predicate."""
+    x, events = col if isinstance(col, tuple) else (col, None)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.flatnonzero(np.concatenate([[True], xs[1:] != xs[:-1], [True]]))
+    v = xs[first[:-1]]
+    wrap = (lambda y: y) if events is None else (lambda y: (y, True))
+
+    def beats(a, b):
+        return _win_loss_masks(spec, wrap(a), wrap(b))[spec.direction is Direction.LOWER]
+
+    f_end = _settle(np.searchsorted(v, x - spec.margin), lambda r, k: beats(x[r], v[k]), v.size)
+    g_start = _settle(np.searchsorted(v, x + spec.margin, "right"),
+                      lambda r, k: ~beats(v[k], x[r]), v.size)
+    return (_Interval(order, first[f_end], True, None, events),
+            _Interval(order, first[g_start], False, events, None))
+
+
+def _both(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    return a if b is None else b if a is None else a & b
+
+
+def _cum(order: np.ndarray, gate: np.ndarray | None) -> np.ndarray:
+    """How many gated patients lie among the first k of `order`, for k = 0..n."""
+    if gate is None:
+        return np.arange(order.size + 1)
+    return np.concatenate([[0], np.cumsum(gate[order])])
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 (SWAR, without numpy 2's bitwise_count)."""
+    one, m1, m2, m4 = (np.uint64(c) for c in (0x0101010101010101, 0x5555555555555555,
+                                              0x3333333333333333, 0x0F0F0F0F0F0F0F0F))
+    x = x - ((x >> np.uint64(1)) & m1)
+    x = (x & m2) + ((x >> np.uint64(2)) & m2)
+    return (((x + (x >> np.uint64(4))) & m4) * one) >> np.uint64(56)
+
+
+class _Dominance:
+    """Counts, for queries (a, b), the gated patients among the first a of r1's order whose
+    place in r2's order is below b. The table holds, at every `step`-th place of r1's order,
+    the patients before it as a bitset over r2's order, with the count before each 64-bit
+    word; the at most step - 1 patients past the place are checked one by one. `step` grows
+    with n so that the table keeps to `_TABLE_BITS`."""
+
+    def __init__(self, r1: _Interval, r2: _Interval, gate: np.ndarray | None) -> None:
+        n = r1.order.size
+        self.step = step = max(8, -(-n * n // _TABLE_BITS))
+        self.gate = gate
+        # Each place of r1's order: that patient's place in r2's order, and its gate.
+        place2 = np.empty_like(r2.order)
+        place2[r2.order] = np.arange(n)
+        self.place2 = place2[r1.order]
+        self.gated = np.ones(n, dtype=bool) if gate is None else gate[r1.order]
+        # Each gated patient's first table row, word and bit, worked in place: the build is
+        # the counting path's memory peak.
+        row = np.flatnonzero(self.gated)
+        bit = self.place2[row]
+        word = bit >> 6
+        row //= step
+        row += 1
+        bit = np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64))
+        shape = (n // step + 2, n // 64 + 1)
+        self.bits = np.zeros(shape, dtype=np.uint64)
+        np.bitwise_or.at(self.bits, (row, word), bit)
+        del bit
+        np.bitwise_or.accumulate(self.bits, axis=0, out=self.bits)
+        row *= shape[1] + 1  # the flat index of (row, word + 1) in the count table
+        row += word
+        row += 1
+        del word
+        self.before = np.bincount(row, minlength=shape[0] * (shape[1] + 1)).reshape(shape[0], -1)
+        np.cumsum(self.before, axis=0, out=self.before)
+        np.cumsum(self.before, axis=1, out=self.before)
+
+    def count(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = np.empty(a.size, dtype=np.int64)
+        for s in range(0, a.size, _QUERY_ROWS):
+            out[s:s + _QUERY_ROWS] = self._batch(a[s:s + _QUERY_ROWS], b[s:s + _QUERY_ROWS])
+        return out
+
+    def _batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        c, w, step = a // self.step, b >> 6, self.step
+        low = np.left_shift(np.uint64(1), (b & 63).astype(np.uint64)) - np.uint64(1)
+        count = self.before[c, w] + _popcount(self.bits[c, w] & low).astype(np.int64)
+        last = self.place2.size - 1
+        for t in range(step - 1):
+            k = c * step + t
+            at = np.minimum(k, last)
+            count += (k < a) & (self.place2[at] < b) & self.gated[at]
+        return count
+
+
+def _count(r: _Interval, cols: np.ndarray | None, m: int) -> np.ndarray:
+    """|R(i) ∩ cols| for rows i < m."""
+    cum = _cum(r.order, _both(r.col_gate, cols))
+    x = r.bound[:m]
+    count = cum[x] if r.prefix else cum[-1] - cum[x]
+    return count if r.row_gate is None else count * r.row_gate[:m]
+
+
+def _overlap(r1: _Interval, r2: _Interval, table: _Dominance, m: int) -> np.ndarray:
+    """|R1(i) ∩ R2(i) ∩ gate| for rows i < m, on a table of R1's and R2's orders and gate:
+    one 2-D dominance count, with 1-D counts for suffixes, as [pos >= x] = 1 - [pos < x]."""
+    x1, x2 = r1.bound[:m], r2.bound[:m]
+    s1, s2 = (1 if r.prefix else -1 for r in (r1, r2))
+    count = s1 * s2 * table.count(x1, x2)
+    if not r2.prefix:
+        count += s1 * _cum(r1.order, table.gate)[x1]
+    if not r1.prefix:
+        cum2 = _cum(r2.order, table.gate)
+        count += s2 * cum2[x2] + (0 if r2.prefix else cum2[-1])
+    rows = _both(r1.row_gate, r2.row_gate)
+    return count if rows is None else count * rows[:m]
+
+
+def _tied_counts(above: Sequence[_Interval], rels: Sequence[_Interval],
+                 cols: np.ndarray | None, m: int) -> list[np.ndarray]:
+    """For each relation R of `rels`, per row i < m: |R(i) ∩ cols| less |A(i) ∩ R(i) ∩ cols|
+    for each relation A of the level above (they are disjoint), so the pairs R holds that
+    the level above leaves tied. Pairs with one gate share a table; one is held at once."""
+    counts = [_count(r, cols, m) for r in rels]
+    held = table = None
+    for key, a, i in sorted((((a.col_gate is None, r.col_gate is None), a, i)
+                             for a in above for i, r in enumerate(rels)), key=lambda p: p[0]):
+        if key != held:
+            held, table = key, None  # the old table goes before the new one is built
+            table = _Dominance(a, rels[i], _both(_both(a.col_gate, rels[i].col_gate), cols))
+        counts[i] -= _overlap(a, rels[i], table, m)
+    return counts
+
+
+def _counted_scores(pooled: Sequence[LevelColumn], n_t: int, h: Hierarchy
+                    ) -> tuple[np.ndarray, list[int]]:
+    """One- and two-level hierarchies by sorting (Gehan 1965; Bentley 1980), with no pair
+    compared. A level's win and loss sets are its F and G (`_level_intervals`), swapped when
+    lower is favorable; the second level decides the pairs the first leaves tied. Net scores
+    run over every column, the level counts over the treatment rows' control columns."""
+    n = _size(pooled[0])
+    ctrl = np.arange(n) >= n_t
+    levels = [_level_intervals(spec, col) for spec, col in zip(h.levels, pooled)]
+    u, decided = np.zeros(n, dtype=np.int64), []
+    for k, (spec, rels) in enumerate(zip(h.levels, levels)):
+        above = levels[0] if k else ()
+        f, g = _tied_counts(above, rels, None, n)
+        u += f - g if spec.direction is Direction.HIGHER else g - f
+        decided.append(int(sum(c.sum() for c in _tied_counts(above, rels, ctrl, n_t))))
+    return u, decided
+
+
+def _matrix_comparison(pooled: Sequence[LevelColumn], n_t: int, h: Hierarchy) -> ArmComparison:
+    """Censored or margined hierarchies: counted by sorting for one or two levels from
+    `_COUNT_PAIRS` cross pairs on, else by the level cascade."""
+    n = _size(pooled[0])
+    n_c = n - n_t
+    counted = len(h) <= 2 and n_t * n_c >= _COUNT_PAIRS
+    u, decided = (_counted_scores if counted else _cascade_scores)(pooled, n_t, h)
     # Within-arm scores cancel, so the treatment scores sum to wins - losses.
-    stats = _tally(int(u[:n_t].sum()), decided.tolist(), n_t * n_c, "unmatched", n_t, n_c)
+    stats = _tally(int(u[:n_t].sum()), decided, n_t * n_c, "unmatched", n_t, n_c)
     return ArmComparison(stats, lambda: (u[:n_t], u[n_t:]),
                          lambda: pairwise_verdicts(pooled, h, range(n_t), range(n_t, n))[0])
 

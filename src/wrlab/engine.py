@@ -51,7 +51,11 @@ def mcse(power: float, n_iterations: int) -> float:
 def required_iterations(target_mcse: float) -> int:
     """Iterations for a worst-case (power = 1/2) MCSE at most target_mcse."""
     _check_real("target_mcse", target_mcse, 0.0)
-    return math.ceil(0.25 / (target_mcse * target_mcse))
+    square = target_mcse * target_mcse
+    if not square or math.isinf(0.25 / square):
+        raise InvalidInputError("target_mcse must give a finite iteration count, "
+                                f"got {target_mcse!r}")
+    return max(1, math.ceil(0.25 / square))
 
 
 @dataclass(frozen=True)
@@ -247,6 +251,7 @@ def run_scenario(scenario: Scenario, n_iterations: int, master_seed: int,
     and never abort the run; any other exception propagates.
     """
     _check_count("n_iterations", n_iterations)
+    _check_count("seed", master_seed, 0)
     h = scenario.dgm.hierarchy()
     wr_requested = [m for m in scenario.methods if m in WR_METHODS]
     rejections = {m: 0 for m in scenario.methods}
@@ -309,6 +314,7 @@ def run_grid(scenarios: Sequence[Scenario], n_iterations: int, master_seed: int,
     """Run every scenario cell; output is independent of the worker count."""
     if not scenarios:
         raise InvalidInputError("run_grid: empty scenario grid")
+    _check_count("seed", master_seed, 0)
     cells = len(scenarios)
     args = (scenarios, [n_iterations] * cells, [master_seed] * cells, range(cells))
     workers = _workers(threads, cells)

@@ -184,6 +184,8 @@ def bootstrap_verdicts(cmp: ArmComparison, b: int, alpha: float,
     """
     _check_real("alpha", alpha, 0.0, 1.0)
     _check_count("b", b, 2)
+    if rng is not None and not isinstance(rng, np.random.Generator):
+        _check_count("seed", rng, 0)
     wins, losses = _replicate_tallies(cmp.cross(), b, np.random.default_rng(rng))
     valid = losses > 0  # a replicate without losses has no finite WR
     n_valid = int(valid.sum())

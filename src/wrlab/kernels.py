@@ -119,16 +119,6 @@ def _gammainc(a: float, x: float) -> tuple[float, float]:
     return 1.0 - q, q
 
 
-def gammainc_lower(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    return _gammainc(a, x)[0]
-
-
-def gammainc_upper(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x), accurate in the far tail."""
-    return _gammainc(a, x)[1]
-
-
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (Lentz)."""
     qab = a + b

@@ -38,7 +38,8 @@ class RankSimConfig:
     seed: int = 123456789
 
     def __post_init__(self) -> None:
-        for name, least in (("n_t", 1), ("n_c", 1), ("n_bootstrap", 2), ("n_iterations", 1)):
+        for name, least in (("n_t", 1), ("n_c", 1), ("n_bootstrap", 2), ("n_iterations", 1),
+                            ("seed", 0)):
             _check_count(name, getattr(self, name), least)
         # A tuple, so that a config given a list still hashes.
         object.__setattr__(self, "phi_win_per_level", tuple(self.phi_win_per_level))

@@ -48,6 +48,41 @@ def random_dataset(rng: np.random.Generator, max_per_arm: int = 10
     return records, h
 
 
+def random_counted_dataset(rng: np.random.Generator, max_per_arm: int = 12
+                           ) -> tuple[list[PatientRecord], Hierarchy]:
+    """One or two levels, at least one censored or margined: every kind and direction,
+    margins 0 and > 0, heavily tied values on grids where a difference equals the margin
+    in floating point (0.25 steps, margin 0.5) or misses it by rounding (0.1 steps),
+    arms with no event at a level, and one-patient arms."""
+    while True:
+        h = Hierarchy(tuple(
+            OutcomeSpec(f"lvl{k}", kind,
+                        Direction.HIGHER if rng.random() < 0.5 else Direction.LOWER,
+                        0.0 if kind is OutcomeKind.BINARY or rng.random() < 0.3
+                        else float(rng.choice([0.1, 0.25, 0.5, 1.0])))
+            for k in range(int(rng.integers(1, 3)))
+            for kind in [KINDS[int(rng.integers(len(KINDS)))]]))
+        if not h.lexicographic:
+            break
+    steps = [float(rng.choice([0.1, 0.25, 1.0])) for _ in h.levels]
+
+    def value(spec, step, p_event):
+        if spec.kind is OutcomeKind.TIME_TO_EVENT:
+            return (float(rng.integers(0, 6)) * step, bool(rng.random() < p_event))
+        if spec.kind is OutcomeKind.CONTINUOUS:
+            return float(rng.integers(-4, 5)) * step
+        return float(rng.integers(0, 2 if spec.kind is OutcomeKind.BINARY else 5))
+
+    records = []
+    for arm in (Arm.TREATMENT, Arm.CONTROL):
+        n = 1 if rng.random() < 0.2 else int(rng.integers(1, max_per_arm + 1))
+        p_event = [float(rng.choice([0.0, 0.5, 1.0])) for _ in h.levels]
+        records += [PatientRecord(f"{arm.value}{i}", arm,
+                                  tuple(value(*args) for args in zip(h.levels, steps, p_event)))
+                    for i in range(n)]
+    return records, h
+
+
 def random_lexicographic_dataset(rng: np.random.Generator, n_t: int, n_c: int
                                  ) -> tuple[list[PatientRecord], Hierarchy]:
     """Scalar margin-0 levels with heavily tied values (including -0.0 and 0.0)."""

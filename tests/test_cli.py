@@ -34,13 +34,17 @@ class TestAnalyze:
         assert code == 0
         assert out.read_bytes() == GOLDEN.read_bytes()
 
-    def test_golden_report_on_cascade_path_byte_identical(self, tmp_path):
+    def test_golden_report_on_cascade_path_byte_identical(self, tmp_path, monkeypatch):
         # A censored death level over a margined dose level takes the blocked
-        # cascade rather than the sort; the report, bootstrap included, is pinned.
-        out = tmp_path / "report.txt"
-        assert main(["analyze", "--data", CENSORED, "--hierarchy", CENSORED_HIERARCHY,
-                     "--bootstrap", "200", "--seed", "7", "--out", str(out)]) == 0
-        assert out.read_bytes() == (DATA_DIR / "golden_analyze_censored.txt").read_bytes()
+        # cascade rather than the sort, or the counting path with the crossover
+        # at 0; the report, bootstrap included, is pinned on both.
+        from wrlab import core
+        for count_pairs in (core._COUNT_PAIRS, 0):
+            monkeypatch.setattr(core, "_COUNT_PAIRS", count_pairs)
+            out = tmp_path / "report.txt"
+            assert main(["analyze", "--data", CENSORED, "--hierarchy", CENSORED_HIERARCHY,
+                         "--bootstrap", "200", "--seed", "7", "--out", str(out)]) == 0
+            assert out.read_bytes() == (DATA_DIR / "golden_analyze_censored.txt").read_bytes()
 
     def test_golden_counts_match_naive_oracle(self):
         # The oracle reads the files itself, not through wrlab's readers.
@@ -339,3 +343,15 @@ def test_threads_env_fallback(monkeypatch, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "argument --threads: invalid int value: 'junk'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ranksim", "--n-t", "10", "--n-c", "10", "--phi", "0.6", "--iterations", "2"],
+    ["simulate", "--preset", "iphak", "--iterations", "1"],
+    ["analyze", "--data", SAMPLE, "--hierarchy", HIERARCHY, "--bootstrap", "10"],
+], ids=["ranksim", "simulate", "analyze"])
+def test_negative_seed_exits_2_naming_seed(tmp_path, capsys, argv):
+    out = tmp_path / "res.txt"
+    assert main(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()

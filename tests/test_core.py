@@ -14,7 +14,8 @@ from wrlab.inference import (_replicate_tallies, bootstrap_verdicts, bootstrap_w
                              score_test_verdicts)
 
 from naive_oracle import compare_hierarchically, naive_net_scores, naive_score_z, naive_tally
-from random_datasets import random_dataset, random_lexicographic_dataset, to_oracle_form
+from random_datasets import (random_counted_dataset, random_dataset,
+                             random_lexicographic_dataset, to_oracle_form)
 
 TTE_UP = OutcomeSpec("death", OutcomeKind.TIME_TO_EVENT, Direction.HIGHER)
 CONT_DOWN = OutcomeSpec("dose", OutcomeKind.CONTINUOUS, Direction.LOWER)
@@ -263,20 +264,32 @@ class TestInvariantsOnRandomData:
                                       [c_pat[j] for j in idx_c[r]], levels)
                     assert (wins[r], losses[r]) == (rep["wins"], rep["losses"])
 
-    @pytest.mark.parametrize("block_pairs", [1, 7, core._BLOCK_PAIRS])
-    def test_blocked_pass_equals_oracle(self, monkeypatch, block_pairs):
-        # Censored, margined and mixed hierarchies take the blocked pooled
-        # cascade; at 1 and 7 pairs per block both arms span many blocks.
+    @pytest.mark.parametrize("block_pairs, count_pairs", [
+        pytest.param(1, math.inf, id="1"), pytest.param(7, math.inf, id="7"),
+        pytest.param(core._BLOCK_PAIRS, math.inf, id=str(core._BLOCK_PAIRS)),
+        pytest.param(core._BLOCK_PAIRS, 0, id="counted")])
+    def test_blocked_pass_equals_oracle(self, monkeypatch, block_pairs, count_pairs):
+        # Censored, margined and mixed hierarchies take the blocked pooled cascade
+        # (crossover at infinity) or, with one or two levels, the counting path
+        # (crossover at 0); at 1 and 7 pairs per block both arms span many blocks.
         monkeypatch.setattr(core, "_BLOCK_PAIRS", block_pairs)
+        monkeypatch.setattr(core, "_COUNT_PAIRS", count_pairs)
+        cascades, cascade = [], core.pairwise_verdicts
+        monkeypatch.setattr(core, "pairwise_verdicts",
+                            lambda *a, **k: cascades.append(1) or cascade(*a, **k))
         rng = np.random.default_rng(10)
         sign = {"win": 1, "loss": -1, "tie": 0}
         checked = 0
-        while checked < 60:
-            records, h = random_dataset(rng, max_per_arm=12)
+        while checked < 120:
+            records, h = (random_dataset(rng, max_per_arm=12) if checked < 60
+                          else random_counted_dataset(rng, max_per_arm=12))
             if h.lexicographic:
                 continue
             checked += 1
+            cascades.clear()
             cmp = compare_arms(*split_dataset(records, h), h)
+            # Counted only with the crossover at 0 and at most two levels.
+            assert bool(cascades) == (count_pairs > 0 or len(h) > 2)
             t_pat, c_pat, levels = to_oracle_form(records, h)
             ref = naive_tally(t_pat, c_pat, levels)
             assert (cmp.stats.n_win, cmp.stats.n_loss, cmp.stats.n_tie) == (
@@ -289,10 +302,12 @@ class TestInvariantsOnRandomData:
             assert cmp.cross().tolist() == [
                 [sign[compare_hierarchically(t, c, levels)[0]] for c in c_pat] for t in t_pat]
 
-    def test_blocked_pass_memory_is_bounded(self):
+    def test_blocked_pass_memory_is_bounded(self, monkeypatch):
         # 1,500 per arm on a censored death level over a margined dose level:
-        # the blocked pass never holds an N x N array. Building the whole cross
-        # and within-arm verdict matrices instead peaks near 41 MB here.
+        # neither the blocked cascade (crossover at infinity) nor the counting
+        # path (crossover at 0, multi-word bitsets) holds an N x N array, and both
+        # give one tally and one set of net scores. Building the whole cross and
+        # within-arm verdict matrices instead peaks near 41 MB here.
         import tracemalloc
         rng = np.random.default_rng(1500)
         n = 1500
@@ -300,14 +315,21 @@ class TestInvariantsOnRandomData:
                  np.round(rng.normal(shift, 1.0, n), 1)] for shift in (-0.2, 0.0)]
         h = Hierarchy((TTE_UP, OutcomeSpec("dose", OutcomeKind.CONTINUOUS,
                                            Direction.LOWER, 0.5)))
-        tracemalloc.start()
-        try:
-            z = score_test_verdicts(compare_arms(cols[0], cols[1], h)).statistic
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert math.isfinite(z)
-        assert peak < 12 * 2**20
+        results = []
+        for count_pairs in (math.inf, 0):
+            monkeypatch.setattr(core, "_COUNT_PAIRS", count_pairs)
+            tracemalloc.start()
+            try:
+                cmp = compare_arms(cols[0], cols[1], h)
+                z = score_test_verdicts(cmp).statistic
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert math.isfinite(z)
+            assert peak < 12 * 2**20
+            results.append((cmp.stats, np.concatenate(cmp.net_scores())))
+        assert results[0][0] == results[1][0]
+        assert np.array_equal(results[0][1], results[1][1])
 
     def test_verdict_block_and_counted_levels_equal_oracle(self):
         # A block of pooled rows that starts inside the treatment arm and reaches

@@ -23,6 +23,7 @@ class TestMcse:
         assert required_iterations(0.01) == 2500
         assert required_iterations(0.005) == 10000
         assert required_iterations(0.5) == 1
+        assert required_iterations(1e200) == 1  # the square overflows; one iteration suffices
 
     def test_domain(self):
         with pytest.raises(InvalidInputError):
@@ -36,6 +37,10 @@ class TestMcse:
         (lambda: mcse(0.5, 2.5), "n_iterations must be an integer >= 1, got 2.5"),
         (lambda: required_iterations(math.inf), "target_mcse must be finite and > 0, got inf"),
         (lambda: required_iterations(math.nan), "target_mcse must be finite and > 0, got nan"),
+        (lambda: required_iterations(1e-200),
+         "target_mcse must give a finite iteration count, got 1e-200"),
+        (lambda: required_iterations(1e-160),
+         "target_mcse must give a finite iteration count, got 1e-160"),
     ])
     def test_out_of_domain_input_named(self, call, message):
         with pytest.raises(InvalidInputError) as exc:
