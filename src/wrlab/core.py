@@ -209,8 +209,6 @@ def split_dataset(dataset: Iterable[PatientRecord], h: Hierarchy
     treat, ctrl = [], []
     for r in dataset:
         (treat if r.arm is Arm.TREATMENT else ctrl).append(r)
-    if not treat or not ctrl:
-        raise InvalidInputError("dataset must contain at least one patient per arm")
     return arm_columns(treat, h), arm_columns(ctrl, h)
 
 
@@ -284,13 +282,15 @@ def _tally(net: int, decided: Sequence[int], n_pairs: int, pairing: str,
 
 @dataclass(frozen=True)
 class ArmComparison:
-    """All cross-arm comparisons of one unmatched dataset: the tally `stats`,
-    `net_scores()`, each patient's wins minus losses against the pooled sample
-    as int64 (u_t, u_c), and `cross()`, the N_T x N_C int8 verdict matrix, built per call."""
+    """All cross-arm comparisons of one unmatched dataset: the tally `stats`; int64 `u_t` and
+    `u_c`, each patient's wins minus losses against the pooled sample; and `against(w)`: for
+    integer weights w (b, N_C) over the controls, two int64 (b, N_T) arrays, the weighted number
+    of controls each treatment patient beats and loses to. It runs when called, in O(b N)."""
 
     stats: WinStats
-    net_scores: Callable[[], tuple[np.ndarray, np.ndarray]]
-    cross: Callable[[], np.ndarray]
+    u_t: np.ndarray
+    u_c: np.ndarray
+    against: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def _lex_ranks(keys: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
@@ -310,19 +310,29 @@ def _lex_ranks(keys: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray
     return ids, upto - size[ids[-1]], order.size - upto
 
 
-def _rank_comparison(keys: list[np.ndarray], n_t: int) -> ArmComparison:
+def _rank_comparison(pooled: Sequence[np.ndarray], n_t: int, h: Hierarchy
+                     ) -> tuple[np.ndarray, list[int], Callable]:
     """One sort of the pooled direction-signed keys (larger is better); exact, because
     for finite doubles a - b > 0 iff a > b and a - b = 0 iff a = b."""
-    ids, below, above = _lex_ranks(keys)
-    n_c, u, gid = keys[0].size - n_t, below - above, ids[-1]
+    ids, below, above = _lex_ranks([v if s.direction is Direction.HIGHER else -v
+                                    for s, v in zip(h.levels, pooled)])
+    n_c, gid = pooled[0].size - n_t, ids[-1]
     # Cross pairs still tied after each key prefix.
     tied = [n_t * n_c] + [int(np.bincount(g[:n_t], minlength=g.size)
                               @ np.bincount(g[n_t:], minlength=g.size)) for g in ids]
-    # Within-arm scores cancel, so the treatment scores sum to wins - losses.
-    stats = _tally(int(u[:n_t].sum()), [a - b for a, b in zip(tied, tied[1:])], n_t * n_c,
-                   "unmatched", n_t, n_c)
-    return ArmComparison(stats, lambda: (u[:n_t], u[n_t:]),
-                         lambda: np.sign(gid[:n_t, None] - gid[None, n_t:]).astype(np.int8))
+
+    def against(w):
+        # A treatment patient beats the controls of lower group id and loses to those of
+        # higher: two bounds in the controls sorted by id, read off cumulative weights,
+        # summed down the controls a row of b weights at a time.
+        order = np.argsort(gid[n_t:], kind="stable")
+        cum = np.zeros((n_c + 1, len(w)), dtype=np.int64)
+        np.cumsum(w.T[order], axis=0, out=cum[1:])
+        lo, hi = (np.searchsorted(gid[n_t:][order], gid[:n_t], side) for side in ("left", "right"))
+        loses = cum[hi]
+        return cum[lo].T, np.subtract(cum[-1], loses, out=loses).T
+
+    return below - above, [a - b for a, b in zip(tied, tied[1:])], against
 
 
 _BLOCK_PAIRS = 1 << 18  # pairs per block of the pooled cascade: bounds its working memory
@@ -532,31 +542,45 @@ def _counted_scores(pooled: Sequence[LevelColumn], n_t: int, h: Hierarchy
     return u, decided
 
 
-def _matrix_comparison(pooled: Sequence[LevelColumn], n_t: int, h: Hierarchy) -> ArmComparison:
+def _matrix_comparison(pooled: Sequence[LevelColumn], n_t: int, h: Hierarchy
+                       ) -> tuple[np.ndarray, list[int], Callable]:
     """Censored or margined hierarchies: counted by sorting for one or two levels from
-    `_COUNT_PAIRS` cross pairs on, else by the level cascade."""
+    `_COUNT_PAIRS` cross pairs on, else by the level cascade. `against` runs the cascade on
+    blocks of treatment rows no larger than its weights, into exact float64 GEMMs."""
     n = _size(pooled[0])
     n_c = n - n_t
     counted = len(h) <= 2 and n_t * n_c >= _COUNT_PAIRS
     u, decided = (_counted_scores if counted else _cascade_scores)(pooled, n_t, h)
-    # Within-arm scores cancel, so the treatment scores sum to wins - losses.
-    stats = _tally(int(u[:n_t].sum()), decided, n_t * n_c, "unmatched", n_t, n_c)
-    return ArmComparison(stats, lambda: (u[:n_t], u[n_t:]),
-                         lambda: pairwise_verdicts(pooled, h, range(n_t), range(n_t, n))[0])
+
+    def against(w):
+        wf, step = w.astype(np.float64), max(_BLOCK_PAIRS // n_c, len(w))
+        out = np.empty((2, len(w), n_t), dtype=np.int64)
+        for start in range(0, n_t, step):
+            net = pairwise_verdicts(pooled, h, range(start, min(start + step, n_t)),
+                                    range(n_t, n))[0]
+            for side, v in zip(out, (1, -1)):  # sums of counts stay below 2^53
+                side[:, start:start + len(net)] = wf @ (net == v).T.astype(np.float64)
+        return tuple(out)
+
+    return u, decided, against
 
 
 def compare_arms(t_cols: Sequence[LevelColumn], c_cols: Sequence[LevelColumn],
                  h: Hierarchy) -> ArmComparison:
     """Compare every treatment patient with every control patient, once."""
+    n_t, n_c = _size(t_cols[0]), _size(c_cols[0])
+    if not n_t or not n_c:
+        raise InvalidInputError(f"the {'control' if n_t else 'treatment'} arm is empty")
     pooled = [tuple(map(np.concatenate, zip(t, c))) if isinstance(t, tuple)
               else np.concatenate([t, c]) for t, c in zip(t_cols, c_cols)]
     for spec, col in zip(h.levels, pooled):
         if np.isnan(col[0] if isinstance(col, tuple) else col).any():
             raise InvalidInputError(f"level '{spec.name}': NaN value or time")
-    if h.lexicographic:
-        return _rank_comparison([v if s.direction is Direction.HIGHER else -v
-                                 for s, v in zip(h.levels, pooled)], _size(t_cols[0]))
-    return _matrix_comparison(pooled, _size(t_cols[0]), h)
+    u, decided, against = (_rank_comparison if h.lexicographic
+                           else _matrix_comparison)(pooled, n_t, h)
+    # Within-arm scores cancel, so the treatment scores sum to wins - losses.
+    stats = _tally(int(u[:n_t].sum()), decided, n_t * n_c, "unmatched", n_t, n_c)
+    return ArmComparison(stats, u[:n_t], u[n_t:], against)
 
 
 def tally_unmatched(dataset: Iterable[PatientRecord], h: Hierarchy) -> WinStats:

@@ -161,18 +161,17 @@ def _percentile_p(replicates: np.ndarray, null_value: float) -> float:
     return min(1.0, 2.0 * min(below, above))
 
 
-def _replicate_tallies(cross: np.ndarray, b: int, rng: np.random.Generator
+def _replicate_tallies(cmp: ArmComparison, b: int, rng: np.random.Generator
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Wins and losses of b within-arm patient resamples, from the verdict matrix.
+    """Wins and losses of b within-arm patient resamples, from the weighted cross counts.
 
     Each arm draws n iid uniform indices per replicate (treatment first): their
     counts are Multinomial(n, 1/n), and weighting each pair by the product of
     its patients' counts gives exactly the tally of the resampled patients."""
     mult_t, mult_c = (np.bincount((rng.integers(0, n, (b, n)) + np.arange(0, b * n, n)[:, None])
-                                  .ravel(), minlength=b * n).reshape(b, n).astype(np.float64)
-                      for n in cross.shape)
-    return tuple(np.einsum("ij,ij->i", mult_t @ (cross == v).astype(np.float64), mult_c)
-                 for v in (1, -1))
+                                  .ravel(), minlength=b * n).reshape(b, n)
+                      for n in (cmp.u_t.size, cmp.u_c.size))
+    return tuple(np.einsum("ij,ij->i", mult_t, side) for side in cmp.against(mult_c))
 
 
 def bootstrap_verdicts(cmp: ArmComparison, b: int, alpha: float,
@@ -186,7 +185,7 @@ def bootstrap_verdicts(cmp: ArmComparison, b: int, alpha: float,
     _check_count("b", b, 2)
     if rng is not None and not isinstance(rng, np.random.Generator):
         _check_count("seed", rng, 0)
-    wins, losses = _replicate_tallies(cmp.cross(), b, np.random.default_rng(rng))
+    wins, losses = _replicate_tallies(cmp, b, np.random.default_rng(rng))
     valid = losses > 0  # a replicate without losses has no finite WR
     n_valid = int(valid.sum())
     flags = ("degenerate-replicates",) if b - n_valid > 0.2 * b or n_valid < 2 else ()
@@ -222,7 +221,7 @@ def score_test_verdicts(cmp: ArmComparison) -> TestResult:
     Unlike the Wald tests on log(WR), the statistic is linear in the
     comparisons, so its normal approximation holds at small arm sizes.
     """
-    u_t, u_c = cmp.net_scores()
+    u_t, u_c = cmp.u_t, cmp.u_c
     n_t, n_c = u_t.size, u_c.size
     n = n_t + n_c
     statistic = float(u_t.sum())  # = N_win - N_loss over cross-arm pairs

@@ -1,7 +1,7 @@
 """Naive reference implementations, written independently of the package and
 used only in tests: a double-loop win/loss/tie comparator over per-patient
-dicts, a pooled net-score z built on it, and a full-enumeration two-sided
-Fisher exact p-value."""
+dicts, a pooled net-score z and weighted cross counts built on it, and a
+full-enumeration two-sided Fisher exact p-value."""
 
 from math import comb, sqrt
 
@@ -94,6 +94,16 @@ def naive_score_z(t_patients, c_patients, levels):
     if sum_sq == 0:
         return None
     return sum(u[:n_t]) / sqrt(n_t * n_c * sum_sq / (n * (n - 1)))
+
+
+def naive_against(t_patients, c_patients, levels, w):
+    """Weighted cross counts: for each weight row r over the controls, the weighted
+    number of controls each treatment patient beats and the weighted number it loses
+    to, as two lists of rows (one entry per treatment patient)."""
+    verdicts = [[compare_hierarchically(t, c, levels)[0] for c in c_patients]
+                for t in t_patients]
+    return tuple([[sum(int(wr[j]) for j, v in enumerate(row) if v == want) for row in verdicts]
+                  for wr in w] for want in ("win", "loss"))
 
 
 def enumerate_fisher_p(a, b, c, d):

@@ -11,9 +11,10 @@ from wrlab.core import (Arm, Direction, Hierarchy, OutcomeKind, OutcomeSpec,
 from wrlab.errors import AllTiesError, InvalidInputError
 from wrlab import core
 from wrlab.inference import (_replicate_tallies, bootstrap_verdicts, bootstrap_wr,
-                             score_test_verdicts)
+                             score_test_columns, score_test_verdicts)
 
-from naive_oracle import compare_hierarchically, naive_net_scores, naive_score_z, naive_tally
+from naive_oracle import (compare_hierarchically, naive_against, naive_net_scores,
+                          naive_score_z, naive_tally)
 from random_datasets import (random_counted_dataset, random_dataset,
                              random_lexicographic_dataset, to_oracle_form)
 
@@ -31,6 +32,18 @@ def pooled_columns(records, h):
     t_cols, c_cols = split_dataset(records, h)
     return [tuple(map(np.concatenate, zip(t, c))) if isinstance(t, tuple)
             else np.concatenate([t, c]) for t, c in zip(t_cols, c_cols)]
+
+
+def assert_resamples_recount(cmp, t_pat, c_pat, levels, seed):
+    """Index draws -> counts -> tally equals recounting the resampled patients;
+    treatment indices are drawn first, then control."""
+    wins, losses = _replicate_tallies(cmp, 4, np.random.default_rng(seed))
+    draws = np.random.default_rng(seed)
+    idx_t = draws.integers(0, len(t_pat), (4, len(t_pat)))
+    idx_c = draws.integers(0, len(c_pat), (4, len(c_pat)))
+    for r in range(4):
+        rep = naive_tally([t_pat[j] for j in idx_t[r]], [c_pat[j] for j in idx_c[r]], levels)
+        assert (wins[r], losses[r]) == (rep["wins"], rep["losses"])
 
 
 class TestCompareAtLevel:
@@ -118,6 +131,15 @@ class TestTallies:
     def test_empty_arm_rejected(self):
         with pytest.raises(InvalidInputError):
             tally_unmatched([record("t", Arm.TREATMENT, 1.0)], self.H1)
+
+    @pytest.mark.parametrize("empty", ["treatment", "control"])
+    def test_empty_column_arm_named(self, empty):
+        full, none = np.array([1.0, 2.0]), np.array([])
+        t, c = (none, full) if empty == "treatment" else (full, none)
+        with pytest.raises(InvalidInputError, match=f"the {empty} arm is empty"):
+            compare_arms([t], [c], self.H1)
+        with pytest.raises(InvalidInputError, match=f"the {empty} arm is empty"):
+            score_test_columns([t], [c], self.H1)
 
     def test_matched_single_pair(self):
         pair = (record("t", Arm.TREATMENT, 1.0), record("c", Arm.CONTROL, 4.0))
@@ -227,10 +249,9 @@ class TestInvariantsOnRandomData:
     def test_rank_path_equals_matrix_path_and_oracle(self):
         # Lexicographic hierarchies take the sort path; the cascade over every
         # pair and the naive oracle must give the same tally, net scores and
-        # verdict matrix, on arms of size 1 and of odd sizes with heavy ties.
-        rng = np.random.default_rng(8)
+        # weighted cross counts, on arms of size 1 and of odd sizes with heavy ties.
+        rng, weights = np.random.default_rng(8), np.random.default_rng(9)
         sizes = (1, 3, 5, 8, 11, 15)
-        sign = {"win": 1, "loss": -1, "tie": 0}
         for i in range(240):
             n_t, n_c = sizes[i % 6], sizes[(i // 6) % 6]
             records, h = random_lexicographic_dataset(rng, n_t, n_c)
@@ -238,31 +259,26 @@ class TestInvariantsOnRandomData:
             assert h.lexicographic
             rank = compare_arms(t_cols, c_cols, h)
             pooled = [np.concatenate([t, c]) for t, c in zip(t_cols, c_cols)]
-            matrix = core._matrix_comparison(pooled, n_t, h)
-            assert rank.stats == matrix.stats
-            for got, want in zip(rank.net_scores(), matrix.net_scores()):
-                assert got.dtype == np.int64 and np.array_equal(got, want)
-            assert rank.cross().dtype == np.int8
-            assert np.array_equal(rank.cross(), matrix.cross())
+            u, decided, against = core._matrix_comparison(pooled, n_t, h)
+            assert dict(rank.stats.decided_at_level) == {k: d for k, d in enumerate(decided) if d}
+            assert rank.u_t.dtype == rank.u_c.dtype == np.int64
+            assert np.array_equal(np.concatenate([rank.u_t, rank.u_c]), u)
             t_pat, c_pat, levels = to_oracle_form(records, h)
             ref = naive_tally(t_pat, c_pat, levels)
             assert (rank.stats.n_win, rank.stats.n_loss, rank.stats.n_tie) == (
                 ref["wins"], ref["losses"], ref["ties"])
             assert dict(rank.stats.decided_at_level) == ref["by_level"]
-            assert np.concatenate(rank.net_scores()).tolist() == naive_net_scores(
+            assert np.concatenate([rank.u_t, rank.u_c]).tolist() == naive_net_scores(
                 t_pat, c_pat, levels)
-            assert rank.cross().tolist() == [
-                [sign[compare_hierarchically(t, c, levels)[0]] for c in c_pat] for t in t_pat]
+            # Random integer weights over the controls, zeros included, from their own
+            # generator so that the datasets stay those drawn before.
+            w = weights.integers(0, 4, (int(weights.integers(1, 4)), n_c))
+            got = rank.against(w)
+            for side, want in zip(got, against(w)):
+                assert side.dtype == np.int64 and np.array_equal(side, want)
+            assert tuple(side.tolist() for side in got) == naive_against(t_pat, c_pat, levels, w)
             if i % 40 == 0:
-                # Index draws -> counts -> tally equals recounting the resampled
-                # patients; treatment indices are drawn first, then control.
-                wins, losses = _replicate_tallies(rank.cross(), 4, np.random.default_rng(i))
-                draws = np.random.default_rng(i)
-                idx_t, idx_c = draws.integers(0, n_t, (4, n_t)), draws.integers(0, n_c, (4, n_c))
-                for r in range(4):
-                    rep = naive_tally([t_pat[j] for j in idx_t[r]],
-                                      [c_pat[j] for j in idx_c[r]], levels)
-                    assert (wins[r], losses[r]) == (rep["wins"], rep["losses"])
+                assert_resamples_recount(rank, t_pat, c_pat, levels, i)
 
     @pytest.mark.parametrize("block_pairs, count_pairs", [
         pytest.param(1, math.inf, id="1"), pytest.param(7, math.inf, id="7"),
@@ -271,14 +287,14 @@ class TestInvariantsOnRandomData:
     def test_blocked_pass_equals_oracle(self, monkeypatch, block_pairs, count_pairs):
         # Censored, margined and mixed hierarchies take the blocked pooled cascade
         # (crossover at infinity) or, with one or two levels, the counting path
-        # (crossover at 0); at 1 and 7 pairs per block both arms span many blocks.
+        # (crossover at 0); at 1 and 7 pairs per block both arms span many blocks,
+        # and the weighted cross counts take blocks of as many rows as weights.
         monkeypatch.setattr(core, "_BLOCK_PAIRS", block_pairs)
         monkeypatch.setattr(core, "_COUNT_PAIRS", count_pairs)
         cascades, cascade = [], core.pairwise_verdicts
         monkeypatch.setattr(core, "pairwise_verdicts",
                             lambda *a, **k: cascades.append(1) or cascade(*a, **k))
-        rng = np.random.default_rng(10)
-        sign = {"win": 1, "loss": -1, "tie": 0}
+        rng, weights = np.random.default_rng(10), np.random.default_rng(11)
         checked = 0
         while checked < 120:
             records, h = (random_dataset(rng, max_per_arm=12) if checked < 60
@@ -295,12 +311,16 @@ class TestInvariantsOnRandomData:
             assert (cmp.stats.n_win, cmp.stats.n_loss, cmp.stats.n_tie) == (
                 ref["wins"], ref["losses"], ref["ties"])
             assert dict(cmp.stats.decided_at_level) == ref["by_level"]
-            u_t, u_c = cmp.net_scores()
-            assert u_t.dtype == u_c.dtype == np.int64
-            assert np.concatenate([u_t, u_c]).tolist() == naive_net_scores(t_pat, c_pat, levels)
-            assert cmp.cross().dtype == np.int8
-            assert cmp.cross().tolist() == [
-                [sign[compare_hierarchically(t, c, levels)[0]] for c in c_pat] for t in t_pat]
+            assert cmp.u_t.dtype == cmp.u_c.dtype == np.int64
+            assert np.concatenate([cmp.u_t, cmp.u_c]).tolist() == naive_net_scores(
+                t_pat, c_pat, levels)
+            # Random integer weights over the controls, zeros included.
+            w = weights.integers(0, 4, (int(weights.integers(1, 4)), len(c_pat)))
+            got = cmp.against(w)
+            assert all(side.dtype == np.int64 for side in got)
+            assert tuple(side.tolist() for side in got) == naive_against(t_pat, c_pat, levels, w)
+            if checked % 20 == 0:
+                assert_resamples_recount(cmp, t_pat, c_pat, levels, checked)
 
     def test_blocked_pass_memory_is_bounded(self, monkeypatch):
         # 1,500 per arm on a censored death level over a margined dose level:
@@ -327,9 +347,40 @@ class TestInvariantsOnRandomData:
                 tracemalloc.stop()
             assert math.isfinite(z)
             assert peak < 12 * 2**20
-            results.append((cmp.stats, np.concatenate(cmp.net_scores())))
+            results.append((cmp.stats, np.concatenate([cmp.u_t, cmp.u_c])))
         assert results[0][0] == results[1][0]
         assert np.array_equal(results[0][1], results[1][1])
+
+    def test_bootstrap_memory_is_bounded(self, monkeypatch):
+        # 1,500 per arm, 50 replicates: the weighted cross counts hold O(b N)
+        # integers on the sort path and one block of verdicts on the cascade and
+        # counting paths, which give one interval. Building the N_T x N_C
+        # verdict matrix and its two float64 indicators instead peaks near 32 MB.
+        import tracemalloc
+        rng = np.random.default_rng(1501)
+        n = 1500
+        lex = Hierarchy((BIN_DOWN, CONT_DOWN))
+        lex_cols = [[(rng.random(n) < 0.3).astype(float), np.round(rng.normal(s, 1.0, n), 1)]
+                    for s in (-0.2, 0.0)]
+        tte = Hierarchy((TTE_UP, OutcomeSpec("dose", OutcomeKind.CONTINUOUS,
+                                             Direction.LOWER, 0.5)))
+        tte_cols = [[(np.floor(rng.exponential(400.0, n)).clip(max=365.0), rng.random(n) < 0.4),
+                     np.round(rng.normal(s, 1.0, n), 1)] for s in (-0.2, 0.0)]
+        results = []
+        for h, cols, count_pairs in ((lex, lex_cols, 0), (tte, tte_cols, math.inf),
+                                     (tte, tte_cols, 0)):
+            monkeypatch.setattr(core, "_COUNT_PAIRS", count_pairs)
+            cmp = compare_arms(cols[0], cols[1], h)
+            tracemalloc.start()
+            try:
+                boot = bootstrap_verdicts(cmp, 50, 0.05, 7)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert boot.ci[0] < boot.ci[1]
+            assert peak < 12 * 2**20
+            results.append(boot)
+        assert results[1] == results[2]
 
     def test_verdict_block_and_counted_levels_equal_oracle(self):
         # A block of pooled rows that starts inside the treatment arm and reaches
