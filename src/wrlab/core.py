@@ -15,7 +15,7 @@ level is a tie.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -177,7 +177,7 @@ def compare_at_level(a: LevelValue, b: LevelValue, spec: OutcomeSpec) -> Verdict
 
 def compare_pair(a: PatientRecord, b: PatientRecord, h: Hierarchy) -> ComparisonResult:
     """Hierarchical comparison: verdict of the first non-tied level."""
-    net, decided = _cascade(h, arm_columns([a], h), arm_columns([b], h), (1,))
+    net, decided = _cascade(h, arm_columns([a], h), arm_columns([b], h))
     return ComparisonResult(_VERDICTS[int(net[0])], decided.index(1) if net[0] else None)
 
 
@@ -212,20 +212,16 @@ def split_dataset(dataset: Iterable[PatientRecord], h: Hierarchy
     return arm_columns(treat, h), arm_columns(ctrl, h)
 
 
-def _win_loss_masks(spec: OutcomeSpec, a_vals, b_vals) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean win/loss masks for broadcastable treatment/control arrays."""
-    m = spec.margin
+def _wins(spec: OutcomeSpec, a, b) -> np.ndarray:
+    """Where value(s) `a` beat value(s) `b` at one level, over their broadcast shape. `b`
+    beats `a` is `_wins(spec, b, a)`, exactly, since IEEE a - b = -(b - a); at margin 0,
+    a - b > 0 iff a > b for any two values but NaN, so margin-0 levels compare directly."""
+    if spec.direction is Direction.LOWER:
+        a, b = b, a
     if spec.kind is OutcomeKind.TIME_TO_EVENT:
-        (t_a, ev_a), (t_b, ev_b) = a_vals, b_vals
-        a_after_b = t_a > t_b + m
-        b_after_a = t_b > t_a + m
-        if spec.direction is Direction.HIGHER:
-            return ev_b & a_after_b, ev_a & b_after_a
-        return ev_a & b_after_a, ev_b & a_after_b
-    diff = a_vals - b_vals
-    if spec.direction is Direction.HIGHER:
-        return diff > m, diff < -m
-    return diff < -m, diff > m
+        (t_a, _), (t_b, ev_b) = a, b
+        return ev_b & (t_a > t_b + spec.margin if spec.margin else t_a > t_b)
+    return a - b > spec.margin if spec.margin else a > b
 
 
 def _size(col: LevelColumn) -> int:
@@ -236,39 +232,39 @@ def _take(col: LevelColumn, index) -> LevelColumn:
     return (col[0][index], col[1][index]) if isinstance(col, tuple) else col[index]
 
 
-def _cascade(h: Hierarchy, t_levels: Iterable, c_levels: Iterable, shape: tuple[int, ...],
-             counted: int = 0) -> tuple[np.ndarray, list[int]]:
-    """Each pair's net verdict, +1 win / -1 loss / 0 tie at its first untied level, and
-    the number of pairs each level decides in columns `counted:` of the last axis.
+def _cascade(h: Hierarchy, t_levels: Iterable, c_levels: Iterable, counted=...
+             ) -> tuple[np.ndarray, list[int]]:
+    """Each pair's net verdict, +1 win / -1 loss / 0 tie at its first untied level, and the
+    number of pairs each level decides in `net[counted]`. A level's sign, win - loss, lands
+    where no level above decided.
 
-    `t_levels` and `c_levels` yield one value array per level, shaped to
-    broadcast to `shape`; they are consumed lazily, so levels after the last
-    undecided pair are never compared.
+    `t_levels` and `c_levels` yield one value array per level, broadcasting to the pairs'
+    shape; consumed lazily, so levels after the last undecided pair are never compared.
     """
-    net = np.zeros(shape, dtype=np.int8)
-    undecided = np.ones(shape, dtype=bool)
-    decided, left = [0] * len(h), undecided[..., counted:].size
+    decided, done = [0] * len(h), 0
     for k, (spec, a_vals, b_vals) in enumerate(zip(h.levels, t_levels, c_levels)):
-        win, loss = _win_loss_masks(spec, a_vals, b_vals)
-        net += win & undecided
-        net -= loss & undecided
-        undecided &= ~(win | loss)
-        now = np.count_nonzero(undecided[..., counted:])
-        decided[k], left = left - now, now
-        if not left and not undecided.any():
+        sign = _wins(spec, a_vals, b_vals).view(np.int8)
+        sign -= _wins(spec, b_vals, a_vals).view(np.int8)
+        net = net + sign * (net == 0) if k else sign
+        now = np.count_nonzero(net[counted])
+        decided[k], done = now - done, now
+        if now == net[counted].size and net.all():
             break
     return net, decided
 
 
 def pairwise_verdicts(pooled: Sequence[LevelColumn], h: Hierarchy, rows: range, cols: range,
-                      *, count_from: int = 0) -> tuple[np.ndarray, list[int]]:
+                      *, count_from: int = 0, count_before: int | None = None
+                      ) -> tuple[np.ndarray, list[int]]:
     """The int8 net verdict block (+1 win / -1 loss / 0 tie) of pooled patients `rows`, each
     taken as the treatment patient, against pooled patients `cols`, and the number of its
-    pairs each level decides in the columns from pooled patient `count_from` on."""
+    pairs each level decides in the columns from pooled patient `count_from` on and, if
+    `count_before` is given, in the rows before that pooled patient."""
     at_row, at_col = np.s_[rows.start:rows.stop, None], np.s_[None, cols.start:cols.stop]
+    last = len(rows) if count_before is None else max(count_before - rows.start, 0)
     return _cascade(h, (_take(col, at_row) for col in pooled),
-                    (_take(col, at_col) for col in pooled), (len(rows), len(cols)),
-                    max(count_from - cols.start, 0))
+                    (_take(col, at_col) for col in pooled),
+                    np.s_[:last, max(count_from - cols.start, 0):])
 
 
 def _tally(net: int, decided: Sequence[int], n_pairs: int, pairing: str,
@@ -323,43 +319,47 @@ def _rank_comparison(pooled: Sequence[np.ndarray], n_t: int, h: Hierarchy
 
     def against(w):
         # A treatment patient beats the controls of lower group id and loses to those of
-        # higher: two bounds in the controls sorted by id, read off cumulative weights,
-        # summed down the controls a row of b weights at a time.
-        order = np.argsort(gid[n_t:], kind="stable")
+        # higher: two bounds in the controls sorted by id, from the controls per id, read off
+        # cumulative weights, summed down the controls a row of b weights at a time.
+        c_size = np.bincount(gid[n_t:], minlength=gid.size)
+        hi = np.cumsum(c_size)[gid[:n_t]]
         cum = np.zeros((n_c + 1, len(w)), dtype=np.int64)
-        np.cumsum(w.T[order], axis=0, out=cum[1:])
-        lo, hi = (np.searchsorted(gid[n_t:][order], gid[:n_t], side) for side in ("left", "right"))
+        np.cumsum(w.T[np.argsort(gid[n_t:], kind="stable")], axis=0, out=cum[1:])
         loses = cum[hi]
-        return cum[lo].T, np.subtract(cum[-1], loses, out=loses).T
+        return cum[hi - c_size[gid[:n_t]]].T, np.subtract(cum[-1], loses, out=loses).T
 
     return below - above, [a - b for a, b in zip(tied, tied[1:])], against
 
 
 _BLOCK_PAIRS = 1 << 18  # pairs per block of the pooled cascade: bounds its working memory
+# Pooled patients up to which the cascade compares them as one square block, u its row sums:
+# on two censored levels it won up to 320 pooled and lost from 360 on (README).
+_SQUARE_ROWS = 320
+_SHORT_RANKS = 1 << 15  # pooled patients below which rank keys are int16, else int32
 
 
 def _cascade_scores(pooled: Sequence[LevelColumn], n_t: int, h: Hierarchy
                     ) -> tuple[np.ndarray, list[int]]:
-    """The level cascade over the pooled pairs, a block of rows at a time. v(j, i) = -v(i, j)
-    exactly, so a block meets only the columns from its first row on, and its column sums
-    past the block count against those columns. No block straddles the arms; the treatment
-    blocks' control columns give the level counts."""
+    """The level cascade over the pooled pairs: one square block, or a block of rows at a
+    time. v(j, i) = -v(i, j) exactly, so a row block meets only the columns from its first row
+    on, and its column sums past the block count against those columns; row blocks do not
+    straddle the arms. Each block counts its levels on the treatment rows' control columns."""
     n = _size(pooled[0])
     step = max(1, _BLOCK_PAIRS // n)
+    starts = [0] if n <= _SQUARE_ROWS else [*range(0, n_t, step), *range(n_t, n, step)]
     u, decided = np.zeros(n, dtype=np.int64), np.zeros(len(h), dtype=np.int64)
-    for start in [*range(0, n_t, step), *range(n_t, n, step)]:
-        stop = min(start + step, n_t if start < n_t else n)
+    for start, stop in zip(starts, [*starts[1:], n]):
         net, counts = pairwise_verdicts(pooled, h, range(start, stop), range(start, n),
-                                        count_from=n_t if start < n_t else n)
-        u[start:stop] += net.sum(axis=1, dtype=np.int64)
-        u[stop:] -= net[:, stop - start:].sum(axis=0, dtype=np.int64)
+                                        count_from=n_t, count_before=n_t)
+        u[start:stop] += net.sum(axis=1, dtype=np.int32)
+        u[stop:] -= net[:, stop - start:].sum(axis=0, dtype=np.int32)
         decided += counts
     return u, decided.tolist()
 
 
-# Cross pairs from which a one- or two-level hierarchy is counted by sorting rather than by
-# the cascade: below about 330 per arm the sorts and the tables cost more than the cascade.
-_COUNT_PAIRS = 350 * 350
+# Cross pairs from which one or two levels are counted by sorting, not by the cascade: they
+# crossed near 400 per arm with a margined level, near 600 on margin-0 censored levels.
+_COUNT_PAIRS = 400 * 400
 _TABLE_BITS = 1 << 22  # bits of one dominance table: bounds the counting path's working memory
 _QUERY_ROWS = 4096  # rows per batch of dominance queries: bounds their temporaries
 
@@ -400,8 +400,8 @@ def _level_intervals(spec: OutcomeSpec, col: LevelColumn) -> tuple[_Interval, _I
     v = xs[first[:-1]]
     wrap = (lambda y: y) if events is None else (lambda y: (y, True))
 
-    def beats(a, b):
-        return _win_loss_masks(spec, wrap(a), wrap(b))[spec.direction is Direction.LOWER]
+    up = replace(spec, direction=Direction.HIGHER)
+    beats = lambda a, b: _wins(up, wrap(a), wrap(b))
 
     f_end = _settle(np.searchsorted(v, x - spec.margin), lambda r, k: beats(x[r], v[k]), v.size)
     g_start = _settle(np.searchsorted(v, x + spec.margin, "right"),
@@ -544,11 +544,17 @@ def _counted_scores(pooled: Sequence[LevelColumn], n_t: int, h: Hierarchy
 
 def _matrix_comparison(pooled: Sequence[LevelColumn], n_t: int, h: Hierarchy
                        ) -> tuple[np.ndarray, list[int], Callable]:
-    """Censored or margined hierarchies: counted by sorting for one or two levels from
-    `_COUNT_PAIRS` cross pairs on, else by the level cascade. `against` runs the cascade on
-    blocks of treatment rows no larger than its weights, into exact float64 GEMMs."""
+    """Censored or margined hierarchies, margin-0 levels on rank keys: counted by sorting for
+    one or two levels from `_COUNT_PAIRS` cross pairs on, else by the level cascade. `against`
+    runs the cascade on blocks of treatment rows, into exact float64 GEMMs."""
     n = _size(pooled[0])
     n_c = n - n_t
+    # Margin-0 levels' values (times) as ranks, the number of pooled values below each: exact,
+    # since a > b iff rank(a) > rank(b), and equal values (-0.0 and 0.0 too) share a rank.
+    rank = lambda x: np.searchsorted(np.sort(x), x).astype(
+        np.int16 if n < _SHORT_RANKS else np.int32)
+    pooled = [col if spec.margin else (rank(col[0]), col[1]) if isinstance(col, tuple)
+              else rank(col) for spec, col in zip(h.levels, pooled)]
     counted = len(h) <= 2 and n_t * n_c >= _COUNT_PAIRS
     u, decided = (_counted_scores if counted else _cascade_scores)(pooled, n_t, h)
 
@@ -593,10 +599,8 @@ def tally_matched(pairs: Sequence[tuple[PatientRecord, PatientRecord]],
     """Tally over an externally supplied (treatment, control) pairing."""
     if not pairs:
         raise InvalidInputError("tally_matched: at least one pair required")
-    t_cols = arm_columns([p[0] for p in pairs], h)
-    c_cols = arm_columns([p[1] for p in pairs], h)
     n = len(pairs)
-    net, decided = _cascade(h, t_cols, c_cols, (n,))
+    net, decided = _cascade(h, *(arm_columns(arm, h) for arm in zip(*pairs)))
     return _tally(int(net.sum(dtype=np.int64)), decided, n, "matched", n, n)
 
 

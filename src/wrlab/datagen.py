@@ -12,9 +12,10 @@ All generators are pure functions of an explicit numpy Generator; use
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,6 +26,50 @@ from .errors import InvalidInputError, _check_count, _check_real
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent generator for a (master seed, integer key path) pair."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=tuple(key)))
+
+
+# SeedSequence's uint32 hash constants and PCG64's 128-bit multiplier (NumPy; O'Neill 2014).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32, _M128 = 0xCA01F9DD, 0x4973F715, (1 << 32) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def substream_states(master_seed: int, *key) -> Iterator[dict]:
+    """The bit generator states of `substream(master_seed, *key)`, one at a time in C order, for
+    key elements that are non-negative ints or arrays of ints below 2**32, broadcast together:
+    SeedSequence's hash of their uint32 words into a 4-word pool, its 8-word draw, and PCG64's
+    two 128-bit seeding steps (NEP 19 keeps both stable), vectorised over the arrays."""
+    def words(k):  # little-endian uint32 words, at least one; an array stays one word
+        if np.any(np.asarray(k) < 0) or np.ndim(k) and np.any(np.asarray(k) > _M32):
+            raise InvalidInputError("substream_states: seed and key must be >= 0, array key "
+                                    "elements < 2**32")
+        return ([np.asarray(k, dtype=np.uint32)] if np.ndim(k) else
+                [int(k) >> s & _M32 for s in range(0, max(int(k).bit_length(), 1), 32)])
+
+    def hasher(const, mult):  # xor with a running constant, step it, multiply, fold
+        def hash_(value):
+            nonlocal const
+            value, const = value ^ const, const * mult & _M32
+            return fold(value * const & _M32)
+        return hash_
+
+    fold = lambda x: x ^ x >> 16
+    mix = lambda x, y: fold((x * _MIX_L & _M32) - (y * _MIX_R & _M32) & _M32)
+    hashmix, draw = hasher(_INIT_A, _MULT_A), hasher(_INIT_B, _MULT_B)
+    # The seed's words, zero-padded to the pool's 4 when short, then the key's.
+    entropy = words(master_seed)
+    entropy += [0] * (4 - len(entropy)) + [w for k in key for w in words(k)]
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for extra, dst in itertools.product(entropy[4:], range(4)):
+        pool[dst] = mix(pool[dst], hashmix(extra))
+    w = [np.asarray(draw(pool[i % 4]), dtype=np.uint32).ravel().astype(object) for i in range(8)]
+    seed, inc = (w[j + 1] << 96 | w[j] << 64 | w[j + 3] << 32 | w[j + 2] for j in (0, 4))
+    inc = (inc << 1 | 1) & _M128
+    state = ((inc + seed) * _PCG_MULT + inc) & _M128
+    return ({"bit_generator": "PCG64", "state": {"state": s, "inc": i}, "has_uint32": 0,
+             "uinteger": 0} for s, i in zip(state, inc))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 from . import datagen
 from .core import (Arm, ArmComparison, Direction, Hierarchy, LevelColumn, OutcomeKind,
                    OutcomeSpec, WinStats, compare_arms, win_ratio)
-from .datagen import IphakPlan, TtePlan, WeibullParams, substream
+from .datagen import IphakPlan, TtePlan, WeibullParams, substream_states
 from .errors import InvalidInputError, WrlabError, _check_count, _check_real
 from .inference import (bootstrap_verdicts, infer_phi, score_test_verdicts,
                         wald_test_log_wr, yu_wald_test)
@@ -39,6 +39,7 @@ WR_METHODS = ("wr-unmatched", "wr-unmatched:score", "wr-unmatched:yu",
 COMPARATOR_METHODS = ("t-test", "fisher-exact", "chi-square", "log-rank-ttfe")
 
 DEFAULT_BOOTSTRAP_REPLICATES = 500
+_STREAM_CHUNK = 256  # iterations whose substream states are derived at once
 
 
 def mcse(power: float, n_iterations: int) -> float:
@@ -260,9 +261,17 @@ def run_scenario(scenario: Scenario, n_iterations: int, master_seed: int,
     wr_sum, wr_count = 0.0, 0
     decided_counts = np.zeros(len(h), dtype=np.int64)
 
+    # Generators equal to substream(master_seed, cell, i, arm), arm 0 treatment, 1 control and
+    # 2 the bootstrap's: reused, with states derived a chunk of iterations at a time.
+    rngs = [np.random.Generator(np.random.PCG64(0))
+            for _ in range(3 if "wr-unmatched:bootstrap" in scenario.methods else 2)]
     for i in range(n_iterations):
-        data = scenario.dgm.generate(substream(master_seed, cell, i, 0),
-                                     substream(master_seed, cell, i, 1))
+        if i % _STREAM_CHUNK == 0:
+            states = substream_states(master_seed, cell, np.arange(
+                i, min(i + _STREAM_CHUNK, n_iterations))[:, None], np.arange(len(rngs)))
+        for rng in rngs:
+            rng.bit_generator.state = next(states)
+        data = scenario.dgm.generate(rngs[0], rngs[1])
         if wr_requested:
             cmp = compare_arms(data.t_cols, data.c_cols, h)
             for k, count in cmp.stats.decided_at_level.items():
@@ -274,7 +283,7 @@ def run_scenario(scenario: Scenario, n_iterations: int, master_seed: int,
             try:
                 if method in WR_METHODS:
                     variant = method.split(":", 1)[1] if ":" in method else "score"
-                    rng = substream(master_seed, cell, i, 2) if variant == "bootstrap" else None
+                    rng = rngs[2] if variant == "bootstrap" else None
                     reject, degen = _wr_rejection(variant, cmp, scenario.alpha,
                                                   scenario.bootstrap_replicates, rng)
                     rejections[method] += reject

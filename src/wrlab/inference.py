@@ -192,7 +192,7 @@ def bootstrap_verdicts(cmp: ArmComparison, b: int, alpha: float,
     wr = win_ratio(cmp.stats)
     if n_valid >= 2:
         wr_b = wins[valid] / losses[valid]
-        ci = (float(np.quantile(wr_b, alpha / 2.0)), float(np.quantile(wr_b, 1.0 - alpha / 2.0)))
+        ci = tuple(map(float, np.quantile(wr_b, [alpha / 2.0, 1.0 - alpha / 2.0])))
         positive = wr_b[wr_b > 0]
         se_log = float(np.log(positive).std(ddof=1)) if positive.size >= 2 else math.inf
         p_value = _percentile_p(wr_b, 1.0)

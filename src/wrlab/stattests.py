@@ -141,27 +141,22 @@ def log_rank_test(sample: SurvivalSample) -> TestResult:
         raise UndefinedStatisticError("log-rank needs at least one event")
     if grp.all() or not grp.any():
         raise UndefinedStatisticError("log-rank needs patients in both arms")
-    event_times = np.unique(times[events])
-    sorted_all = np.sort(times)
-    sorted_t = np.sort(times[grp])
-    # Risk sets: everyone whose observed time is >= the event time.
-    n_at_risk = times.size - np.searchsorted(sorted_all, event_times, side="left")
-    n1_at_risk = sorted_t.size - np.searchsorted(sorted_t, event_times, side="left")
-    # Events at each distinct event time, overall and in the treatment arm.
-    ev_sorted = np.sort(times[events])
-    d_total = (np.searchsorted(ev_sorted, event_times, side="right")
-               - np.searchsorted(ev_sorted, event_times, side="left"))
-    ev_t_sorted = np.sort(times[events & grp])
-    d_treat = (np.searchsorted(ev_t_sorted, event_times, side="right")
-               - np.searchsorted(ev_t_sorted, event_times, side="left"))
+    # One sort; `first` is the first place of each distinct time.
+    order = np.argsort(times, kind="stable")
+    sorted_times, ev, g = times[order], events[order], grp[order]
+    first = np.flatnonzero(np.concatenate([[True], sorted_times[1:] != sorted_times[:-1]]))
+    # Events at each distinct time, overall and in the treatment arm; keep the event times.
+    d_total, d_treat = (np.add.reduceat(x, first, dtype=np.int64) for x in (ev, ev & g))
+    at = d_total > 0
+    d_total, d_treat, first = d_total[at], d_treat[at], first[at]
+    # Risk sets: everyone whose observed time is >= the event time (its own patient included,
+    # so n_at_risk >= 1, and a term with n_at_risk = 1 has n_at_risk - d_total = 0).
+    n_at_risk = times.size - first
+    n1_at_risk = np.cumsum(g[::-1])[::-1][first]
     frac = n1_at_risk / n_at_risk
     observed_minus_expected = float((d_treat - d_total * frac).sum())
-    with np.errstate(invalid="ignore", divide="ignore"):
-        var_terms = np.where(n_at_risk > 1,
-                             d_total * frac * (1.0 - frac)
-                             * (n_at_risk - d_total) / np.maximum(n_at_risk - 1, 1),
-                             0.0)
-    variance = float(var_terms.sum())
+    variance = float((d_total * frac * (1.0 - frac) * (n_at_risk - d_total)
+                      / np.maximum(n_at_risk - 1, 1)).sum())
     if variance <= 0.0:
         raise UndefinedStatisticError("log-rank variance is zero; statistic undefined")
     stat = observed_minus_expected * observed_minus_expected / variance

@@ -1,9 +1,10 @@
 """Naive reference implementations, written independently of the package and
 used only in tests: a double-loop win/loss/tie comparator over per-patient
-dicts, a pooled net-score z and weighted cross counts built on it, and a
-full-enumeration two-sided Fisher exact p-value."""
+dicts, a pooled net-score z and weighted cross counts built on it, a
+full-enumeration two-sided Fisher exact p-value, and a log-rank test looped
+over the distinct event times."""
 
-from math import comb, sqrt
+from math import comb, erfc, sqrt
 
 
 def compare_one_level(t_value, c_value, kind, direction, margin):
@@ -115,3 +116,24 @@ def enumerate_fisher_p(a, b, c, d):
     pmf = {j: comb(k, j) * comb(n - k, n1 - j) / comb(n, n1) for j in range(lo, hi + 1)}
     p_obs = pmf[a]
     return min(1.0, sum(p for p in pmf.values() if p <= p_obs * (1 + 1e-7)))
+
+
+def naive_log_rank(times, events, in_treatment):
+    """(statistic, p) of the two-group log-rank test: at each distinct event time, the
+    treatment arm's observed minus expected events and their hypergeometric variance over
+    the patients still at risk (observed time >= the event time); chi-square on 1 df. None
+    when the variance is zero."""
+    patients = list(zip(times, events, in_treatment))
+    o_minus_e = variance = 0.0
+    for t in sorted({x for x, e, _ in patients if e}):
+        at_risk = [g for x, _, g in patients if x >= t]
+        n, n1 = len(at_risk), sum(at_risk)
+        d = sum(1 for x, e, _ in patients if e and x == t)
+        d1 = sum(1 for x, e, g in patients if e and g and x == t)
+        o_minus_e += d1 - d * n1 / n
+        if n > 1:
+            variance += d * (n1 / n) * (1 - n1 / n) * (n - d) / (n - 1)
+    if variance == 0:
+        return None
+    stat = o_minus_e * o_minus_e / variance
+    return stat, erfc(sqrt(stat / 2))

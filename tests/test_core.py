@@ -280,20 +280,28 @@ class TestInvariantsOnRandomData:
             if i % 40 == 0:
                 assert_resamples_recount(rank, t_pat, c_pat, levels, i)
 
-    @pytest.mark.parametrize("block_pairs, count_pairs", [
-        pytest.param(1, math.inf, id="1"), pytest.param(7, math.inf, id="7"),
-        pytest.param(core._BLOCK_PAIRS, math.inf, id=str(core._BLOCK_PAIRS)),
-        pytest.param(core._BLOCK_PAIRS, 0, id="counted")])
-    def test_blocked_pass_equals_oracle(self, monkeypatch, block_pairs, count_pairs):
-        # Censored, margined and mixed hierarchies take the blocked pooled cascade
-        # (crossover at infinity) or, with one or two levels, the counting path
-        # (crossover at 0); at 1 and 7 pairs per block both arms span many blocks,
-        # and the weighted cross counts take blocks of as many rows as weights.
+    @pytest.mark.parametrize("block_pairs, count_pairs, square_rows, short_ranks", [
+        pytest.param(1, math.inf, 0, core._SHORT_RANKS, id="1"),
+        pytest.param(7, math.inf, 0, core._SHORT_RANKS, id="7"),
+        pytest.param(core._BLOCK_PAIRS, math.inf, 0, core._SHORT_RANKS, id=str(core._BLOCK_PAIRS)),
+        pytest.param(core._BLOCK_PAIRS, 0, core._SQUARE_ROWS, core._SHORT_RANKS, id="counted"),
+        pytest.param(core._BLOCK_PAIRS, math.inf, math.inf, core._SHORT_RANKS, id="square"),
+        pytest.param(7, math.inf, 0, 0, id="int32")])
+    def test_blocked_pass_equals_oracle(self, monkeypatch, block_pairs, count_pairs, square_rows,
+                                        short_ranks):
+        # Censored, margined and mixed hierarchies take the pooled cascade (crossover
+        # at infinity) as row blocks (square switch at 0) or one square block (at
+        # infinity), or, with one or two levels, the counting path (crossover at 0);
+        # at 1 and 7 pairs per block both arms span many blocks, and the weighted
+        # cross counts take blocks of as many rows as weights. Margin-0 levels enter
+        # as int16 rank keys, or int32 with that switch at 0.
         monkeypatch.setattr(core, "_BLOCK_PAIRS", block_pairs)
         monkeypatch.setattr(core, "_COUNT_PAIRS", count_pairs)
+        monkeypatch.setattr(core, "_SQUARE_ROWS", square_rows)
+        monkeypatch.setattr(core, "_SHORT_RANKS", short_ranks)
         cascades, cascade = [], core.pairwise_verdicts
         monkeypatch.setattr(core, "pairwise_verdicts",
-                            lambda *a, **k: cascades.append(1) or cascade(*a, **k))
+                            lambda *a, **k: cascades.append(a[0]) or cascade(*a, **k))
         rng, weights = np.random.default_rng(10), np.random.default_rng(11)
         checked = 0
         while checked < 120:
@@ -306,6 +314,11 @@ class TestInvariantsOnRandomData:
             cmp = compare_arms(*split_dataset(records, h), h)
             # Counted only with the crossover at 0 and at most two levels.
             assert bool(cascades) == (count_pairs > 0 or len(h) > 2)
+            for pooled in cascades:
+                for spec, col in zip(h.levels, pooled):
+                    key = col[0] if isinstance(col, tuple) else col
+                    assert key.dtype == (np.float64 if spec.margin
+                                         else np.int16 if short_ranks else np.int32)
             t_pat, c_pat, levels = to_oracle_form(records, h)
             ref = naive_tally(t_pat, c_pat, levels)
             assert (cmp.stats.n_win, cmp.stats.n_loss, cmp.stats.n_tie) == (
@@ -321,6 +334,57 @@ class TestInvariantsOnRandomData:
             assert tuple(side.tolist() for side in got) == naive_against(t_pat, c_pat, levels, w)
             if checked % 20 == 0:
                 assert_resamples_recount(cmp, t_pat, c_pat, levels, checked)
+
+    def test_rank_keys_on_extreme_values_equal_oracle(self, monkeypatch):
+        # Margin-0 levels enter the cascade as integer ranks of the pooled sample: -0.0
+        # and 0.0 share a rank, and +-inf, +-1e308 (whose differences overflow) and
+        # subnormals keep their order, beside a margined level's float values on a
+        # grid where differences equal the margin. On the square block, on row
+        # blocks, as int32 keys, and on the counting path.
+        scalars = [-0.0, 0.0, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 1.0]
+        times = [0.0, -0.0, 5e-324, 3.0, 1e308, math.inf]
+        margined = [-1.0, -0.5, 0.0, 0.25, 1.0]
+        rng, weights = np.random.default_rng(17), np.random.default_rng(18)
+        direction = lambda: Direction.HIGHER if rng.random() < 0.5 else Direction.LOWER
+        for square_rows, short_ranks, count_pairs in ((math.inf, 1 << 15, math.inf),
+                                                      (0, 1 << 15, math.inf),
+                                                      (0, 0, math.inf), (math.inf, 0, 0)):
+            monkeypatch.setattr(core, "_SQUARE_ROWS", square_rows)
+            monkeypatch.setattr(core, "_SHORT_RANKS", short_ranks)
+            monkeypatch.setattr(core, "_COUNT_PAIRS", count_pairs)
+            checked = 0
+            while checked < 30:
+                pool = [OutcomeSpec("x0", OutcomeKind.CONTINUOUS, direction()),
+                        OutcomeSpec("t", OutcomeKind.TIME_TO_EVENT, direction()),
+                        OutcomeSpec("x1", OutcomeKind.CONTINUOUS, direction()),
+                        OutcomeSpec("m", OutcomeKind.CONTINUOUS, direction(), 0.5)]
+                h = Hierarchy(tuple(pool[i] for i in rng.permutation(4)[:rng.integers(1, 4)]))
+                if h.lexicographic:
+                    continue
+                checked += 1
+                arms = []
+                for n in rng.integers(1, 10, 2):
+                    arms.append([(rng.choice(times, n), rng.random(n) < 0.6)
+                                 if s.kind is OutcomeKind.TIME_TO_EVENT
+                                 else rng.choice(margined if s.margin else scalars, n)
+                                 for s in h.levels])
+                cmp = compare_arms(*arms, h)
+                t_pat, c_pat = ([{s.name: (float(col[0][i]), bool(col[1][i]))
+                                  if isinstance(col, tuple) else float(col[i])
+                                  for s, col in zip(h.levels, cols)}
+                                 for i in range(len(cols[0][0] if isinstance(cols[0], tuple)
+                                                    else cols[0]))] for cols in arms)
+                _, _, levels = to_oracle_form([], h)
+                ref = naive_tally(t_pat, c_pat, levels)
+                assert (cmp.stats.n_win, cmp.stats.n_loss, cmp.stats.n_tie) == (
+                    ref["wins"], ref["losses"], ref["ties"])
+                assert dict(cmp.stats.decided_at_level) == ref["by_level"]
+                assert np.concatenate([cmp.u_t, cmp.u_c]).tolist() == naive_net_scores(
+                    t_pat, c_pat, levels)
+                w = weights.integers(0, 4, (2, len(c_pat)))
+                assert tuple(side.tolist() for side in cmp.against(w)) == naive_against(
+                    t_pat, c_pat, levels, w)
 
     def test_blocked_pass_memory_is_bounded(self, monkeypatch):
         # 1,500 per arm on a censored death level over a margined dose level:

@@ -8,11 +8,40 @@ from wrlab.datagen import (IphakPlan, TtePlan, WeibullParams,
                            event_params_for_arm, exponential_scale_from_dropout,
                            exponential_survival, gen_binary_continuous_arm,
                            gen_iphak_arm, gen_tte_arm, gen_tte_composite_arm,
-                           substream, weibull_scale_from_survival,
+                           substream, substream_states, weibull_scale_from_survival,
                            weibull_survival)
 from wrlab.errors import InvalidInputError
 
 N_BIG = 100_000
+
+
+class TestSubstreamStates:
+    def test_vectorised_states_equal_substream(self):
+        # State for state and draw for draw, for seeds of one to five uint32 words and
+        # cell and iteration indices up to 10**6, as scalars or broadcast arrays.
+        indices = np.array([0, 1, 65_535, 65_536, 999_999, 10**6])
+        for seed in (0, 2**32 + 5, 2**64 + 7, 2**130):
+            for cell in (0, 7, 10**6):
+                states = list(substream_states(seed, cell, indices[:, None], np.arange(3)))
+                keys = [(cell, int(i), arm) for i in indices for arm in range(3)]
+                assert len(states) == len(keys)
+                for key, state in zip(keys, states):
+                    ref = substream(seed, *key)
+                    assert state == ref.bit_generator.state
+                    gen = np.random.Generator(np.random.PCG64(0))
+                    gen.bit_generator.state = state
+                    assert gen.random(2).tolist() == ref.random(2).tolist()
+                    assert gen.integers(0, 1000, 3).tolist() == ref.integers(0, 1000, 3).tolist()
+            states = list(substream_states(seed, indices, 4))  # an array of cells
+            assert states == [substream(seed, int(c), 4).bit_generator.state for c in indices]
+            assert list(substream_states(seed)) == [substream(seed).bit_generator.state]
+            big = substream(seed, 2**40, 1).bit_generator.state  # a two-word scalar key
+            assert list(substream_states(seed, 2**40, 1)) == [big]
+
+    def test_negative_or_oversized_keys_rejected(self):
+        for seed, bad in ((1, np.array([2**32])), (1, np.array([-1, 0])), (1, -1), (-1, 0)):
+            with pytest.raises(InvalidInputError, match=">= 0, array key elements < 2\\*\\*32"):
+                substream_states(seed, 0, bad)
 
 
 class TestCalibration:

@@ -4,7 +4,7 @@ import pytest
 
 from wrlab import engine
 from wrlab.core import Arm
-from wrlab.datagen import IphakPlan
+from wrlab.datagen import IphakPlan, substream
 from wrlab.engine import (BinaryContinuousDgm, IphakDgm, Scenario,
                           TteCompositeDgm, binary_continuous_grid,
                           iphak_scenario, mcse, study_presets,
@@ -181,6 +181,23 @@ class TestRunScenario:
         results = run_scenario(sc, 10, 7)
         wr_results = [r for r in results if r.method.startswith("wr-")]
         assert len({r.mean_wr for r in wr_results}) == 1
+
+    def test_iterations_draw_from_their_substreams(self, monkeypatch):
+        # The reused generators carry substream(seed, cell, i, arm)'s state when each
+        # iteration starts, arm 2 the bootstrap's, across chunks of derived states.
+        monkeypatch.setattr(engine, "_STREAM_CHUNK", 3)
+        seen, generate = [], BinaryContinuousDgm.generate
+        monkeypatch.setattr(BinaryContinuousDgm, "generate", lambda self, t, c: seen.append(
+            (t.bit_generator.state, c.bit_generator.state)) or generate(self, t, c))
+        boots, bootstrap = [], engine.bootstrap_verdicts
+        monkeypatch.setattr(engine, "bootstrap_verdicts", lambda cmp, b, alpha, rng: boots.append(
+            rng.bit_generator.state) or bootstrap(cmp, b, alpha, rng))
+        sc = Scenario("s", BinaryContinuousDgm(p_treatment=0.5, delta=1.0),
+                      ("wr-unmatched:bootstrap",), bootstrap_replicates=20)
+        run_scenario(sc, 8, 99, cell=4)
+        assert seen == [tuple(substream(99, 4, i, arm).bit_generator.state for arm in (0, 1))
+                        for i in range(8)]
+        assert boots == [substream(99, 4, i, 2).bit_generator.state for i in range(8)]
 
     def test_failures_counted_not_raised(self):
         # A 1-patient-per-arm TTE scenario has iterations with no events at

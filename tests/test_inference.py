@@ -7,7 +7,7 @@ from wrlab.core import (Arm, Direction, Hierarchy, OutcomeKind, OutcomeSpec,
                         PatientRecord, WinStats, compare_arms)
 from wrlab.datagen import substream
 from wrlab.errors import AllTiesError, DegenerateCountsError, InvalidInputError
-from wrlab.inference import (bootstrap_verdicts, bootstrap_wr, infer_phi,
+from wrlab.inference import (_replicate_tallies, bootstrap_verdicts, bootstrap_wr, infer_phi,
                              phi_win, score_test, score_test_columns,
                              var_log_wr, var_phi, var_wr_delta,
                              wald_test_log_wr, yu_wald_test)
@@ -142,6 +142,22 @@ class TestBootstrap:
         r = bootstrap_wr(ds, H_CONT, b=400, seed=9)
         assert r.n_degenerate > 0
         assert "degenerate-replicates" in r.flags
+
+    def test_ci_bits_are_the_percentiles_of_the_valid_replicates(self):
+        # One quantile call gives both ends: the bits of one call per end, and the
+        # bits the two-call code gave on this dataset.
+        rng = np.random.default_rng(5)
+        t, c = np.round(rng.normal(0.3, 1, 25), 1), np.round(rng.normal(0, 1, 25), 1)
+        cmp = compare_arms([t], [c], H_CONT)
+        pinned = {0.05: ("0x1.15d9e10a36f85p+0", "0x1.363954aba92cep+2"),
+                  0.37: ("0x1.84c2a50658dc0p+0", "0x1.9329cc4012329p+1")}
+        for alpha in (0.05, 0.37, 0.01, 0.1):
+            ci = bootstrap_verdicts(cmp, 301, alpha, 77).ci
+            wins, losses = _replicate_tallies(cmp, 301, np.random.default_rng(77))
+            wr_b = wins[losses > 0] / losses[losses > 0]
+            assert [x.hex() for x in ci] == [float(np.quantile(wr_b, q)).hex()
+                                             for q in (alpha / 2.0, 1.0 - alpha / 2.0)]
+            assert alpha not in pinned or tuple(x.hex() for x in ci) == pinned[alpha]
 
     def test_coverage_20v20(self):
         # CI covers the true WR in about 95% of simulated datasets (+-2%).

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from wrlab.datagen import substream
-from wrlab.engine import TteCompositeDgm
+from wrlab.engine import TteCompositeDgm, tte_grid
 from wrlab.errors import InvalidInputError, UndefinedStatisticError
 from wrlab.kernels import hypergeom_pmf
 from wrlab.stattests import (SurvivalSample, TwoByTwoTable, chi_square_test,
                              fisher_exact, log_rank_test, t_test)
 
-from naive_oracle import enumerate_fisher_p
+from naive_oracle import enumerate_fisher_p, naive_log_rank
 from reference_tables import (CHI2_TABLE_P, CHI2_TABLE_STAT, CHI2_TABLE_YATES_P,
                               CHI2_TABLE_YATES_STAT, FISHER_EXTREME_P,
                               LOGRANK_HAND_P, LOGRANK_HAND_STAT)
@@ -190,6 +190,43 @@ class TestLogRank:
                 got = log_rank_test(s)
                 assert abs(got.statistic - ref.statistic ** 2) <= 1e-12 * max(1.0, got.statistic)
                 assert abs(got.p_value - ref.pvalue) < 1e-12
+
+    def test_equals_loop_over_event_times(self):
+        # Tied event and censoring times; an arm with every patient censored; a single
+        # event time; and samples from the ttfe-weibull preset's cells.
+        def check(times, events, grp):
+            ref = naive_log_rank(times.tolist(), events.tolist(), grp.tolist())
+            if ref is None:
+                with pytest.raises(UndefinedStatisticError):
+                    log_rank_test(SurvivalSample(times, events, grp))
+                return
+            got, (stat, p) = log_rank_test(SurvivalSample(times, events, grp)), ref
+            assert got.statistic == pytest.approx(stat, rel=1e-12, abs=1e-14)
+            assert got.p_value == pytest.approx(p, rel=1e-9, abs=1e-15)
+
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 7, 20, 60):
+            grp = np.arange(n) < max(1, n // 2)
+            times = rng.integers(0, 5, n).astype(float)  # ties among events and censorings
+            check(times, rng.random(n) < 0.5 + (times == 0), grp)
+            check(times, grp & (rng.random(n) < 0.7) | (times == 0) & grp, grp)  # control censored
+            check(times, ~grp & (times == times[-1]), grp)  # one event time
+            check(np.full(n, 3.0), rng.random(n) < 0.5 + (np.arange(n) == 0), grp)
+        for dgm in tte_grid()[::6]:
+            for i in range(3):
+                s = dgm.dgm.generate(substream(578, i, 0), substream(578, i, 1)).ttfe
+                check(s.times, s.events, s.in_treatment)
+
+    def test_preset_statistic_bits_unchanged(self):
+        # The one-sort risk sets and event counts equal the per-time searches they
+        # replaced, so the statistic and p keep their bits on ttfe-weibull samples.
+        pinned = {0: ("0x1.0e80b277a9a24p+5", "0x1.a0f83459c5e05p-28"),
+                  12: ("0x1.d1f7f1670008ap+2", "0x1.c8c459019c9b4p-8"),
+                  24: ("0x1.1020bac572207p-2", "0x1.365f797660c87p-1")}
+        for k, bits in pinned.items():
+            s = tte_grid()[k].dgm.generate(substream(579, k, 0), substream(579, k, 1)).ttfe
+            r = log_rank_test(s)
+            assert (r.statistic.hex(), r.p_value.hex()) == bits
 
     def test_requires_events_and_two_arms(self):
         times = np.array([1.0, 2.0])
